@@ -84,6 +84,23 @@ python3 scripts/bench_diff.py --wall-threshold 100000 \
     BENCH_concurrent.json "$CONC_OUT/BENCH_concurrent.json"
 rm -rf "$CONC_OUT"
 
+# The host-side lookup structures every simulated access probes (cache
+# and TLB arrays, POLB, the pending-storeP table) must not move one
+# modeled cycle: the full-scale fig11 grid and the micro-op cells must
+# match their goldens counter for counter (full scale, so a stray
+# UPR_BENCH_SCALE is dropped). Wall time is not gated.
+echo "==> tier 4f: fig11 grid + micro-op counters vs golden"
+FIG_OUT=$(mktemp -d)
+env -u UPR_BENCH_SCALE build/bench/bench_harness --fig11-only \
+    --jobs "$JOBS" --out "$FIG_OUT" > /dev/null
+env -u UPR_BENCH_SCALE build/bench/bench_harness --micro-only \
+    --out "$FIG_OUT" > /dev/null
+for f in BENCH_fig11.json BENCH_micro.json; do
+    python3 scripts/bench_diff.py --wall-threshold 100000 \
+        "$f" "$FIG_OUT/$f"
+done
+rm -rf "$FIG_OUT"
+
 echo "==> tier 5: observability overhead gate"
 GATE_OUT=$(mktemp -d)
 trap 'rm -rf "$GATE_OUT"' EXIT

@@ -12,6 +12,7 @@
 
 #include "arch/params.hh"
 #include "arch/set_assoc.hh"
+#include "common/bits.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -60,14 +61,15 @@ class Cache
             static_cast<std::uint32_t>(line & (sets_ - 1));
         const std::uint64_t tag = line >> tagShift_;
 
-        if (LineState *st = array_.lookup(set, tag)) {
-            st->dirty |= is_write;
+        const auto p = array_.probe(set, tag);
+        if (p.hit) {
+            array_.payload(p).dirty |= is_write;
             ++hits_;
             return true;
         }
         ++misses_;
         LineState victim;
-        if (array_.insert(set, tag, LineState{is_write}, &victim) &&
+        if (array_.fill(p, tag, LineState{is_write}, &victim) &&
             victim.dirty) {
             ++writebacks_;
         }

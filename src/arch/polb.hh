@@ -53,20 +53,24 @@ class Polb
     {
         syncEpoch();
         ++accesses_;
-        if (PoolBase *e = array_.lookup(0, id)) {
+        const auto p = array_.probe(0, id);
+        if (p.hit) {
+            const PoolBase &e = array_.payload(p);
             // A POLB hit still bounds-checks the offset against the
             // cached pool size so out-of-pool offsets fault the same
             // way on the hit and miss paths.
             ++hits_;
-            if (off >= e->size) {
+            if (off >= e.size) {
                 throw Fault(FaultKind::OffsetOutOfPool,
                             "POLB-hit bounds check");
             }
-            return {e->base + off, params_.polbHitLatency, true};
+            return {e.base + off, params_.polbHitLatency, true};
         }
         ++walks_;
+        // Fill only once the walk succeeds: a faulting walk leaves
+        // the buffer as it was.
         const SimAddr va = manager_.ra2va(id, off);
-        array_.insert(0, id, PoolBase{va - off, manager_.pool(id).size()});
+        array_.fill(p, id, PoolBase{va - off, manager_.pool(id).size()});
         return {va, params_.polbHitLatency + params_.powLatency, false};
     }
 

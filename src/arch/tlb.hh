@@ -12,6 +12,7 @@
 
 #include "arch/params.hh"
 #include "arch/set_assoc.hh"
+#include "common/bits.hh"
 #include "common/stats.hh"
 #include "mem/address_space.hh"
 
@@ -44,12 +45,13 @@ class Tlb
         const std::uint32_t set = static_cast<std::uint32_t>(
             setMask_ ? (vpn & setMask_) : vpn % sets_);
         const std::uint64_t tag = vpn;
-        if (array_.lookup(set, tag)) {
+        const auto p = array_.probe(set, tag);
+        if (p.hit) {
             ++hits_;
             return true;
         }
         ++misses_;
-        array_.insert(set, tag, Empty{});
+        array_.fill(p, tag, Empty{});
         return false;
     }
 

@@ -33,6 +33,7 @@
 
 #include "arch/machine.hh"
 #include "common/stats.hh"
+#include "core/pending_storep_table.hh"
 #include "core/pointer_repr.hh"
 #include "mem/vmalloc.hh"
 #include "nvm/pool_manager.hh"
@@ -506,133 +507,6 @@ class Runtime
         PtrBits ra = 0;
         SimAddr va = 0;
         std::uint64_t epoch = 0;
-    };
-
-    /**
-     * Fixed-capacity open-addressing map from cache line to storeP
-     * completion cycle. Drop-in for the unordered_map it replaces on
-     * the loadPtr/storePtr hot path, with identical contents at every
-     * step: collisions probe instead of evicting, erasures leave
-     * tombstones, and the same "flush everything past 4096 live
-     * entries" policy applies — so dependent-load timing (depLoads_
-     * and the cycles it adds) is bit-exact with the old container.
-     */
-    class PendingStorePTable
-    {
-      public:
-        PendingStorePTable() : slots_(kCapacity) {}
-
-        bool empty() const { return live_ == 0; }
-
-        /** Insert or overwrite the completion cycle for @p line. */
-        void
-        put(SimAddr line, Cycles deadline)
-        {
-            std::size_t i = indexOf(line);
-            std::size_t at = kCapacity; // first tombstone on the path
-            for (;;) {
-                Slot &s = slots_[i];
-                if (s.state == kLive && s.line == line) {
-                    s.deadline = deadline;
-                    return;
-                }
-                if (s.state == kDead && at == kCapacity)
-                    at = i;
-                if (s.state == kEmpty) {
-                    if (at == kCapacity) {
-                        at = i;
-                        ++used_;
-                    }
-                    break;
-                }
-                i = (i + 1) & (kCapacity - 1);
-            }
-            slots_[at] = Slot{line, deadline, kLive};
-            ++live_;
-            if (live_ > kMaxLive) {
-                clear(); // stale entries, long since done
-                return;
-            }
-            if (used_ > kRebuild)
-                rebuild();
-        }
-
-        /** Remove @p line if present; its deadline goes to @p out. */
-        bool
-        take(SimAddr line, Cycles &out)
-        {
-            std::size_t i = indexOf(line);
-            for (;;) {
-                Slot &s = slots_[i];
-                if (s.state == kEmpty)
-                    return false;
-                if (s.state == kLive && s.line == line) {
-                    out = s.deadline;
-                    s.state = kDead;
-                    --live_;
-                    return true;
-                }
-                i = (i + 1) & (kCapacity - 1);
-            }
-        }
-
-        void
-        clear()
-        {
-            for (Slot &s : slots_)
-                s.state = kEmpty;
-            live_ = 0;
-            used_ = 0;
-        }
-
-      private:
-        static constexpr std::uint8_t kEmpty = 0;
-        static constexpr std::uint8_t kLive = 1;
-        static constexpr std::uint8_t kDead = 2;
-        /** Must stay a power of two (and above kRebuild + slack). */
-        static constexpr std::size_t kCapacity = 8192;
-        /** The flush threshold the unordered_map version used. */
-        static constexpr std::size_t kMaxLive = 4096;
-        /** Used (live + tombstone) slots before de-tombstoning. */
-        static constexpr std::size_t kRebuild = 6144;
-
-        struct Slot
-        {
-            SimAddr line = 0;
-            Cycles deadline = 0;
-            std::uint8_t state = kEmpty;
-        };
-
-        static std::size_t
-        indexOf(SimAddr line)
-        {
-            static_assert(kCapacity == std::size_t{1} << 13);
-            return (line * 0x9E3779B97F4A7C15ULL) >> (64 - 13);
-        }
-
-        /** Reinsert live entries to shed accumulated tombstones. */
-        void
-        rebuild()
-        {
-            std::vector<Slot> old(kCapacity);
-            old.swap(slots_);
-            live_ = 0;
-            used_ = 0;
-            for (const Slot &s : old) {
-                if (s.state != kLive)
-                    continue;
-                std::size_t i = indexOf(s.line);
-                while (slots_[i].state != kEmpty)
-                    i = (i + 1) & (kCapacity - 1);
-                slots_[i] = s;
-                ++live_;
-                ++used_;
-            }
-        }
-
-        std::vector<Slot> slots_;
-        std::size_t live_ = 0;
-        std::size_t used_ = 0;
     };
 
     Config config_;

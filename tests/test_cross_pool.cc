@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "containers/memory_env.hh"
+#include "temp_path.hh"
 
 using namespace upr;
 
@@ -143,8 +144,8 @@ TEST_P(CrossPool, EntangledPoolsRoundTripThroughImages)
     b.setField(&Node::value, std::uint64_t{0x5EED});
     rt.pools().pool(poolA).setRootOff(PtrRepr::offsetOf(a.bits()));
 
-    const std::string pa = ::testing::TempDir() + "/xa.img";
-    const std::string pb = ::testing::TempDir() + "/xb.img";
+    const std::string pa = test::tempPath("xa.img");
+    const std::string pb = test::tempPath("xb.img");
     rt.pools().saveImage(poolA, pa);
     rt.pools().saveImage(poolB, pb);
 

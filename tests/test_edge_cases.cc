@@ -9,6 +9,7 @@
 #include "compiler/ir_parser.hh"
 #include "containers/memory_env.hh"
 #include "nvm/pool_manager.hh"
+#include "temp_path.hh"
 
 using namespace upr;
 
@@ -23,7 +24,7 @@ std::string
 writeTempImage(const std::vector<std::uint8_t> &bytes,
                const std::string &name)
 {
-    const std::string path = ::testing::TempDir() + "/" + name;
+    const std::string path = test::tempPath(name);
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(reinterpret_cast<const char *>(bytes.data()),
              static_cast<std::streamsize>(bytes.size()));
@@ -37,7 +38,7 @@ TEST(ImageCorruption, FlippedMagicRejected)
     AddressSpace space;
     PoolManager mgr(space);
     const PoolId id = mgr.createPool("src", 1 << 20);
-    const std::string good = ::testing::TempDir() + "/good.img";
+    const std::string good = test::tempPath("good.img");
     mgr.saveImage(id, good);
 
     std::ifstream is(good, std::ios::binary);
@@ -59,7 +60,7 @@ TEST(ImageCorruption, TruncatedImageRejected)
     AddressSpace space;
     PoolManager mgr(space);
     const PoolId id = mgr.createPool("src", 1 << 20);
-    const std::string good = ::testing::TempDir() + "/good2.img";
+    const std::string good = test::tempPath("good2.img");
     mgr.saveImage(id, good);
 
     std::ifstream is(good, std::ios::binary);
@@ -81,7 +82,7 @@ TEST(ImageCorruption, DuplicatePoolIdRejectedOnLoad)
     AddressSpace space;
     PoolManager mgr(space);
     const PoolId id = mgr.createPool("orig", 1 << 20);
-    const std::string img = ::testing::TempDir() + "/dup.img";
+    const std::string img = test::tempPath("dup.img");
     mgr.saveImage(id, img);
     // The image's ID collides with the still-live pool.
     EXPECT_THROW(mgr.loadImage(img, "copy"), Fault);

@@ -2,9 +2,10 @@
  * @file
  * Golden-counter test pinning the simulated model to known-good
  * values. The host-side lookup structures (flat address space, pool
- * slot table, pending-storeP hash table, SoA set-assoc arrays) are
- * pure performance work: they must not move a single simulated cycle
- * or counter. Every (workload, version) cell of the fig11 grid is
+ * slot table, the tombstone-free pending-storeP table with its
+ * occupancy bitmap, the single-scan {tag, stamp} set-assoc arrays
+ * behind the caches, TLBs and POLB) are pure performance work: they
+ * must not move a single simulated cycle or counter. Every (workload, version) cell of the fig11 grid is
  * checked against values captured before those structures landed, at
  * two workload scales so both the tiny and the mid-size code paths
  * are covered.

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "nvm/pool_manager.hh"
+#include "temp_path.hh"
 
 using namespace upr;
 
@@ -162,7 +163,7 @@ TEST_F(PoolManagerTest, SaveAndLoadImageAcrossManagers)
     space.write<std::uint64_t>(va, 0xABCDE);
     const PoolOffset off = mgr.va2ra(va).second;
 
-    const std::string path = ::testing::TempDir() + "/pool.img";
+    const std::string path = test::tempPath("pool.img");
     mgr.saveImage(id, path);
 
     // A brand new "machine/process".
@@ -178,7 +179,7 @@ TEST_F(PoolManagerTest, SaveAndLoadImageAcrossManagers)
 
 TEST_F(PoolManagerTest, LoadImageRejectsGarbage)
 {
-    const std::string path = ::testing::TempDir() + "/garbage.img";
+    const std::string path = test::tempPath("garbage.img");
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("not a pool image", f);

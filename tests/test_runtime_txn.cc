@@ -9,6 +9,7 @@
 
 #include "containers/rb_tree.hh"
 #include "nvm/txn.hh"
+#include "temp_path.hh"
 
 using namespace upr;
 
@@ -114,7 +115,7 @@ TEST_P(RuntimeTxn, CrashRecoveryFromImage)
     // Attach the recovered image in a new runtime and re-check.
     Runtime rt2(makeConfig(GetParam()));
     RuntimeScope scope2(rt2);
-    const std::string path = ::testing::TempDir() + "/crash.img";
+    const std::string path = test::tempPath("crash.img");
     {
         // Round-trip the recovered image through a file, as a new
         // process would receive it.

@@ -7,6 +7,7 @@
 
 #include "arch/trace.hh"
 #include "containers/rb_tree.hh"
+#include "temp_path.hh"
 
 using namespace upr;
 
@@ -111,7 +112,7 @@ TEST(Trace, SaveLoadRoundTrip)
     auto [trace, cycles] = recordWorkload(Version::Hw, params);
     (void)cycles;
 
-    const std::string path = ::testing::TempDir() + "/t.trace";
+    const std::string path = test::tempPath("t.trace");
     trace.save(path);
     const Trace loaded = Trace::load(path);
     ASSERT_EQ(loaded.size(), trace.size());
@@ -129,7 +130,7 @@ TEST(Trace, SaveLoadRoundTrip)
 
 TEST(Trace, LoadRejectsGarbage)
 {
-    const std::string path = ::testing::TempDir() + "/garbage.trace";
+    const std::string path = test::tempPath("garbage.trace");
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("not a trace", f);
