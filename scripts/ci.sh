@@ -1,6 +1,8 @@
 #!/bin/sh
 # CI entry point:
-#   1. full RelWithDebInfo build + complete test suite;
+#   1. full RelWithDebInfo build + complete test suite, then the
+#      suite again under `--repeat until-fail:3` (every test must pass
+#      three runs in a row under -j: flakiness is a failure);
 #   2. ASan+UBSan build (cmake --preset asan) + the crash, compiler,
 #      obs, fault, txn, exec and concurrent test labels — the suites
 #      that exercise raw-memory recovery paths, deliberately corrupted
@@ -28,6 +30,9 @@ echo "==> tier 1: full build + full test suite"
 cmake --preset default
 cmake --build --preset default -j "$JOBS"
 ctest --preset default -j "$JOBS"
+
+echo "==> tier 1r: full test suite, repeated until-fail:3"
+ctest --preset default -j "$JOBS" --repeat until-fail:3
 
 echo "==> tier 2: ASan+UBSan build + crash/compiler labels"
 cmake --preset asan

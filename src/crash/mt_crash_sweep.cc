@@ -1,16 +1,14 @@
 #include "crash/mt_crash_sweep.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "containers/concurrent_hash_map.hh"
-#include "crash/crash_injector.hh"
+#include "crash/crash_sweep.hh"
 #include "nvm/engine.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_ring.hh"
@@ -53,121 +51,6 @@ mtCrashStats()
     return stats;
 }
 
-/**
- * The multi-backing injector: one shared event counter over every
- * shard pool's persistence-event stream. Event index N is a position
- * in the *total order* across shards — crashing at N captures the
- * durable image of every shard at the same instant, which is what
- * makes the recovered whole-store state checkable against the logged
- * history's linearizations.
- */
-class MultiCrashInjector
-{
-  public:
-    MultiCrashInjector(CrashMode mode, std::uint64_t seed)
-        : mode_(mode), seed_(seed)
-    {}
-
-    ~MultiCrashInjector() { detach(); }
-
-    MultiCrashInjector(const MultiCrashInjector &) = delete;
-    MultiCrashInjector &operator=(const MultiCrashInjector &) = delete;
-
-    /** 0 = never crash, only count (the profiling pass). */
-    void arm(std::uint64_t crashAt) { crashAt_ = crashAt; }
-
-    /**
-     * Start observing every backing in @p backings (the crash window
-     * opens: current content becomes the durable baseline on each).
-     */
-    void
-    attach(std::vector<Backing *> backings)
-    {
-        detach();
-        backings_ = std::move(backings);
-        events_ = 0;
-        fired_ = false;
-        order_.clear();
-        hook_ = std::make_shared<Hook>(Hook{this});
-        for (unsigned s = 0; s < backings_.size(); ++s) {
-            backings_[s]->enablePersistenceDomain();
-            backings_[s]->setPersistObserver(
-                [hook = hook_, s](PersistEvent, Bytes, Bytes) {
-                    if (hook->owner != nullptr)
-                        hook->owner->onEvent(s);
-                });
-        }
-    }
-
-    /** Go inert; never touches the backings (they may be gone). */
-    void
-    detach()
-    {
-        if (hook_ != nullptr) {
-            hook_->owner = nullptr;
-            hook_.reset();
-        }
-        backings_.clear();
-    }
-
-    std::uint64_t events() const { return events_; }
-    bool fired() const { return fired_; }
-
-    /** Shard owning each event, in total order (profiling pass). */
-    const std::vector<unsigned> &order() const { return order_; }
-
-    /** Shard @p s's durable image at the crash instant. */
-    const std::vector<std::uint8_t> &
-    image(unsigned s) const
-    {
-        upr_assert_msg(fired_, "crash image requested before a crash");
-        return images_.at(s);
-    }
-
-  private:
-    void
-    onEvent(unsigned shard)
-    {
-        ++events_;
-        order_.push_back(shard);
-        if (crashAt_ != 0 && events_ == crashAt_ && !fired_) {
-            // Power fails machine-wide: capture EVERY shard's media
-            // at this instant, before the triggering event applies.
-            // Each shard gets its own retention-RNG stream so torn
-            // lines differ across shards like they would on real
-            // independent DIMMs.
-            images_.resize(backings_.size());
-            for (unsigned s = 0; s < backings_.size(); ++s) {
-                images_[s] = backings_[s]->crashImage(
-                    mode_, seed_ ^ (crashAt_ * 0x9e3779b9ULL + s));
-            }
-            fired_ = true;
-            // Inert before the throw: unwinding rolls back the other
-            // shards' open transactions, and those writes must not
-            // count or crash again — the machine is already off.
-            hook_->owner = nullptr;
-            hook_.reset();
-            backings_.clear();
-            throw SimulatedCrash(crashAt_);
-        }
-    }
-
-    struct Hook
-    {
-        MultiCrashInjector *owner;
-    };
-
-    CrashMode mode_;
-    std::uint64_t seed_;
-    std::shared_ptr<Hook> hook_;
-    std::vector<Backing *> backings_;
-    std::uint64_t crashAt_ = 0;
-    std::uint64_t events_ = 0;
-    bool fired_ = false;
-    std::vector<unsigned> order_;
-    std::vector<std::vector<std::uint8_t>> images_;
-};
-
 /** One transactional operation on a shard's own table. */
 struct Op
 {
@@ -195,7 +78,7 @@ struct ShardPlan
  * Partition consecutive integers into per-shard key lists by fleet
  * ownership, then derive each shard's op list: a rotating mix of
  * fresh insert, overwrite, and erase, entirely over keys that shard
- * owns. Pure function of (shards, opsPerShard) — every sweep run
+ * owns. Pure function of (shards, opsPerShard), so a replay
  * regenerates the identical plan.
  */
 std::vector<ShardPlan>
@@ -278,20 +161,18 @@ fleetConfig(const MtCrashSweepConfig &cfg)
 }
 
 /**
- * One full workload execution: build the fleet and the sharded map,
- * lay down the setup baseline, open the crash window on every shard
- * backing, then drive the per-shard op lists through the seeded
- * step-interleaving scheduler. @p committed and @p inFlight report
- * per-shard progress at the instant a crash unwinds.
+ * The workload: build the fleet and the sharded map, lay down the
+ * setup baseline, open the crash window on every shard backing, then
+ * drive the per-shard op lists through the seeded step-interleaving
+ * scheduler. @p committed reports per-shard progress at every
+ * persistence event.
  */
 void
-runWorkload(MultiCrashInjector &injector, const MtCrashSweepConfig &cfg,
+runWorkload(CrashInjector &injector, const MtCrashSweepConfig &cfg,
             const std::vector<ShardPlan> &plan,
-            std::vector<std::size_t> &committed,
-            std::vector<bool> &inFlight)
+            std::vector<std::size_t> &committed)
 {
     committed.assign(cfg.shards, 0);
-    inFlight.assign(cfg.shards, false);
 
     ShardedRuntime fleet(fleetConfig(cfg));
     ConcurrentHashMap<std::uint64_t, std::uint64_t> map(fleet);
@@ -314,7 +195,7 @@ runWorkload(MultiCrashInjector &injector, const MtCrashSweepConfig &cfg,
     // The deterministic scheduler: each shard's next op advances in
     // three steps (begin / apply / commit), and a seeded RNG picks
     // which unfinished shard steps next — so transactions overlap
-    // across shards, in the same total order on every run.
+    // across shards, in a total order the seed reproduces.
     enum class Step
     {
         Begin,
@@ -342,7 +223,6 @@ runWorkload(MultiCrashInjector &injector, const MtCrashSweepConfig &cfg,
         switch (step[s]) {
           case Step::Begin:
             rt.beginTxn(fleet.pool(s));
-            inFlight[s] = true;
             step[s] = Step::Apply;
             break;
           case Step::Apply:
@@ -356,7 +236,6 @@ runWorkload(MultiCrashInjector &injector, const MtCrashSweepConfig &cfg,
           case Step::Commit:
             rt.commitTxn();
             ++committed[s];
-            inFlight[s] = false;
             step[s] = Step::Begin;
             ++opIdx[s];
             break;
@@ -447,65 +326,26 @@ mtCrashSweep(const MtCrashSweepConfig &config)
     upr_assert_msg(config.shards >= 1 && config.opsPerShard >= 1,
                    "mtCrashSweep needs at least one shard and one op");
 
-    // One-command replay of a failed point, same contract as the
-    // single-threaded sweep: UPR_CRASH_SEED overrides the retention
-    // seed, and every violation prints the values needed to set it.
-    MtCrashSweepConfig cfg = config;
-    if (const char *env = std::getenv("UPR_CRASH_SEED");
-        env != nullptr && *env != '\0') {
-        cfg.seed = std::strtoull(env, nullptr, 0);
-    }
-
     const std::vector<ShardPlan> plan =
-        makePlan(cfg.shards, cfg.opsPerShard);
+        makePlan(config.shards, config.opsPerShard);
     std::vector<std::size_t> committed;
-    std::vector<bool> inFlight;
-
-    // Profiling pass: count the total order's events without
-    // crashing, and record which shard owns each position.
     MtCrashSweepResult result;
-    {
-        MultiCrashInjector injector(cfg.mode, cfg.seed);
-        injector.arm(0);
-        runWorkload(injector, cfg, plan, committed, inFlight);
-        result.crashPoints = injector.events();
-        const std::vector<unsigned> &order = injector.order();
-        for (std::size_t i = 1; i < order.size(); ++i) {
-            if (order[i] != order[i - 1])
-                ++result.crossShardEvents;
-        }
-    }
-    if (result.crashPoints == 0) {
-        throw Fault(FaultKind::BadUsage,
-                    "multi-threaded crash sweep generated no "
-                    "persistence events");
-    }
-    mtCrashStats().crashPoints.add(result.crashPoints);
+    unsigned lastShard = 0;
 
-    for (std::uint64_t n = 1; n <= result.crashPoints; ++n) {
-        MultiCrashInjector injector(cfg.mode, cfg.seed);
-        injector.arm(n);
-        bool crashed = false;
-        try {
-            runWorkload(injector, cfg, plan, committed, inFlight);
-        } catch (const SimulatedCrash &) {
-            crashed = true;
-        }
-        if (!crashed || !injector.fired()) {
-            throw Fault(FaultKind::BadUsage,
-                        "crash point " + std::to_string(n) + " of " +
-                            std::to_string(result.crashPoints) +
-                            " never fired — the multi-threaded "
-                            "workload is not deterministic");
-        }
-
-        for (unsigned s = 0; s < cfg.shards; ++s) {
+    // At every event of the total order: count interleaving, then
+    // recover every shard's image at that instant and check it.
+    const auto check = [&](const CrashInjector &injector,
+                           std::uint64_t n, unsigned owner) {
+        if (n > 1 && owner != lastShard)
+            ++result.crossShardEvents;
+        lastShard = owner;
+        for (unsigned s = 0; s < config.shards; ++s) {
             std::string violation;
             bool contained = true;
             try {
                 violation = recoverAndCheckShard(
-                    cfg, injector.image(s), plan[s], committed[s], n,
-                    s, result);
+                    config, injector.image(s), plan[s], committed[s],
+                    n, s, result);
             } catch (const std::exception &e) {
                 contained = false;
                 violation = std::string("escaped exception: ") +
@@ -522,17 +362,23 @@ mtCrashSweep(const MtCrashSweepConfig &config)
             }
             std::fprintf(
                 stderr,
-                "mt crash sweep VIOLATION at point %llu/%llu shard "
-                "%u/%u (%s engine, mode %s, seed %llu): %s\n"
+                "mt crash sweep VIOLATION at point %llu shard %u/%u "
+                "(%s engine, mode %s, seed %llu): %s\n"
                 "replay with: UPR_CRASH_SEED=%llu <this test>\n",
-                (unsigned long long)n,
-                (unsigned long long)result.crashPoints, s, cfg.shards,
-                cfg.engine == EngineKind::Undo ? "undo" : "redo",
-                crashModeName(cfg.mode),
-                (unsigned long long)cfg.seed, violation.c_str(),
-                (unsigned long long)cfg.seed);
+                (unsigned long long)n, s, config.shards,
+                config.engine == EngineKind::Undo ? "undo" : "redo",
+                crashModeName(config.mode),
+                (unsigned long long)injector.seed(), violation.c_str(),
+                (unsigned long long)injector.seed());
         }
-    }
+    };
+
+    result.crashPoints = crashSweep(
+        [&](CrashInjector &injector) {
+            runWorkload(injector, config, plan, committed);
+        },
+        check, {config.mode, config.seed});
+    mtCrashStats().crashPoints.add(result.crashPoints);
     return result;
 }
 

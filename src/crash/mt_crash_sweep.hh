@@ -10,17 +10,19 @@
  * into one total order by a seeded scheduler at *transaction-step*
  * granularity (begin / apply / commit), so transactions genuinely
  * overlap across shards while the global persistence-event order stays
- * deterministic — the property an exhaustive sweep requires. (The real
+ * deterministic, so every reported crash point replays. (The real
  * thread scheduler is exercised by the concurrent bench and TSan
  * tests; the sweep deliberately replaces it with a seeded one, because
- * "crash at every event" only means something when run i and run j
- * agree on what event N is.)
+ * a replay line only means something when the rerun agrees on what
+ * event N is.)
  *
- * At every index N of that total order the sweep simulates power
- * failure: the durable image of EVERY shard pool is captured at the
- * same instant (per the configured retention mode), every shard is
- * recovered independently through its engine, and the recovered store
- * is checked against the set of linearizations the logged operation
+ * The workload runs once, on the crash-sweep engine (crash_sweep.hh)
+ * with every shard backing attached to one CrashInjector. At every
+ * index N of that total order the sweep simulates power failure: the
+ * durable image of EVERY shard pool is read at the same instant (per
+ * the configured retention mode), every shard is recovered
+ * independently through its engine, and the recovered store is
+ * checked against the set of linearizations the logged operation
  * history admits. Because each key belongs to exactly one shard, that
  * set factorizes: each shard must recover to its committed prefix,
  * plus-or-minus its single in-flight operation — atomically, never
@@ -87,9 +89,9 @@ struct MtCrashSweepResult
  * Unlike crashSweep(), violations are *counted*, not thrown: the
  * result's silent/containment fields are the verdict, and every
  * violation prints a replay line to stderr as it is found.
+ * UPR_CRASH_SEED overrides config.seed, as for crashSweep().
  *
- * @throws Fault{BadUsage} if the workload is nondeterministic (a
- *         crash point armed from the profiling pass never fires)
+ * @throws Fault{BadUsage} if UPR_CRASH_SEED is not a number
  */
 MtCrashSweepResult mtCrashSweep(const MtCrashSweepConfig &config = {});
 

@@ -1,8 +1,8 @@
 #include "faultinject/fault_sweep.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/fault.hh"
 #include "faultinject/fault_stats.hh"
@@ -21,7 +21,6 @@ namespace
 struct Coord
 {
     std::uint64_t point;
-    std::uint64_t total;
     CrashMode mode;
     MediaFaultKind kind;
     FaultRegion region;
@@ -37,38 +36,13 @@ void
 banner(const Coord &c, const char *why)
 {
     std::fprintf(stderr,
-                 "fault sweep FAILED at point %llu/%llu (mode %s, "
+                 "fault sweep FAILED at point %llu (mode %s, "
                  "fault %s, region %s, seed %llu): %s\n"
                  "replay with: UPR_CRASH_SEED=%llu <this test>\n",
-                 (unsigned long long)c.point,
-                 (unsigned long long)c.total, crashModeName(c.mode),
+                 (unsigned long long)c.point, crashModeName(c.mode),
                  mediaFaultKindName(c.kind), faultRegionName(c.region),
                  (unsigned long long)c.seed, why,
                  (unsigned long long)c.seed);
-}
-
-/** Capture the crash image at point @p n (plus its strict baseline). */
-void
-captureAt(const CrashWorkload &workload, CrashMode mode,
-          std::uint64_t seed, std::uint64_t n,
-          std::vector<std::uint8_t> &image,
-          std::vector<std::uint8_t> &strict)
-{
-    CrashInjector injector(mode, seed);
-    injector.arm(n);
-    bool crashed = false;
-    try {
-        workload(injector);
-    } catch (const SimulatedCrash &) {
-        crashed = true;
-    }
-    if (!crashed || !injector.fired()) {
-        throw Fault(FaultKind::BadUsage,
-                    "fault sweep point " + std::to_string(n) +
-                    " never fired — the workload is not deterministic");
-    }
-    image = injector.image();
-    strict = injector.strictImage();
 }
 
 } // namespace
@@ -78,33 +52,22 @@ faultSweep(const CrashWorkload &workload,
            const FaultValidator &contentValid,
            const FaultSweepConfig &config)
 {
-    std::uint64_t seed = config.seed;
-    if (const char *env = std::getenv("UPR_CRASH_SEED");
-        env != nullptr && *env != '\0') {
-        seed = std::strtoull(env, nullptr, 0);
-    }
-
-    // Profiling pass: size the crash-point space.
-    std::uint64_t total = 0;
-    {
-        CrashInjector injector(config.mode, seed);
-        injector.arm(0);
-        workload(injector);
-        total = injector.events();
-    }
-    if (total == 0) {
-        throw Fault(FaultKind::BadUsage,
-                    "fault sweep workload generated no persistence "
-                    "events (injector never attached?)");
-    }
-
     const std::uint64_t stride = config.pointStride ? config.pointStride
                                                     : 1;
     FaultSweepResult result;
+    // Reused across every classification: the live workload holds the
+    // heap top, so a pool-sized vector allocated and freed per
+    // classification would be returned to (and refetched from) the
+    // OS every time.
+    std::vector<std::uint8_t> recovered, damaged, served;
 
-    for (std::uint64_t n = 1; n <= total; n += stride) {
-        std::vector<std::uint8_t> image, strict;
-        captureAt(workload, config.mode, seed, n, image, strict);
+    const auto check = [&](const CrashInjector &injector,
+                           std::uint64_t n, unsigned) {
+        if ((n - 1) % stride != 0)
+            return;
+        const std::uint64_t seed = injector.seed();
+        const std::vector<std::uint8_t> &image = injector.image();
+        const std::vector<std::uint8_t> &strict = injector.strictImage();
         ++result.crashPointsSampled;
 
         // Control leg: the UNcorrupted image must open clean — any
@@ -119,10 +82,6 @@ faultSweep(const CrashWorkload &workload,
                 mgr.openResilient(std::move(fb), "control");
             if (rep.outcome != OpenOutcome::Clean &&
                 rep.outcome != OpenOutcome::Recovered) {
-                Coord c{n, total, config.mode, MediaFaultKind::BitFlip,
-                        FaultRegion::Header, seed};
-                banner(c, "uncorrupted control image did not open "
-                          "clean");
                 throw Fault(FaultKind::CorruptPool,
                             "fault sweep control image at point " +
                             std::to_string(n) + " opened as '" +
@@ -136,12 +95,14 @@ faultSweep(const CrashWorkload &workload,
         // about to overwrite — silently weakening the sweep. Undo-log
         // targets come from the crash image itself (recovery
         // truncates the log).
-        Backing rb;
-        rb.assign(image);
-        Pool ref("ref", std::move(rb));
-        TxnEngine::recover(ref);
-        const std::vector<std::uint8_t> recovered =
-            ref.backing().raw().toVector();
+        {
+            Backing rb;
+            rb.assign(image);
+            Pool ref("ref", std::move(rb));
+            TxnEngine::recover(ref);
+            const ByteStore &raw = ref.backing().raw();
+            recovered.assign(raw.data(), raw.data() + raw.size());
+        }
 
         for (std::size_t k = 0; k < kMediaFaultKinds; ++k) {
             for (std::size_t r = 0; r < kFaultRegions; ++r) {
@@ -151,7 +112,7 @@ faultSweep(const CrashWorkload &workload,
                 spec.seed = seed ^ (n * 0x9E37'79B9'7F4A'7C15ULL) ^
                             (k * 0x0000'0100'0000'01B3ULL) ^
                             (r * 0x1000'0193ULL);
-                const Coord coord{n, total, config.mode, spec.kind,
+                const Coord coord{n, config.mode, spec.kind,
                                   spec.region, seed};
 
                 const std::vector<Bytes> targets =
@@ -160,7 +121,7 @@ faultSweep(const CrashWorkload &workload,
                                                             : recovered,
                         spec.region);
 
-                std::vector<std::uint8_t> damaged = image;
+                damaged = image;
                 const MediaFaultModel model(spec);
                 if (model.corrupt(damaged, strict, targets).empty()) {
                     ++result.noEffect;
@@ -210,9 +171,9 @@ faultSweep(const CrashWorkload &workload,
                     // Served read-write: the contents must be a state
                     // a pure crash could have produced. Anything else
                     // is the one unforgivable outcome.
-                    if (!contentValid(
-                            mgr.pool(rep.id).backing().raw().toVector(),
-                            n)) {
+                    const ByteStore &raw = mgr.pool(rep.id).backing().raw();
+                    served.assign(raw.data(), raw.data() + raw.size());
+                    if (!contentValid(served, n)) {
                         ++result.silent;
                         banner(coord, "served pool fails content "
                                       "validation");
@@ -235,7 +196,9 @@ faultSweep(const CrashWorkload &workload,
                 }
             }
         }
-    }
+    };
+
+    crashSweep(workload, check, {config.mode, config.seed});
     return result;
 }
 

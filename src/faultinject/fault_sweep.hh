@@ -82,15 +82,16 @@ using FaultValidator = std::function<bool(
     const std::vector<std::uint8_t> &image, std::uint64_t crashPoint)>;
 
 /**
- * Run the corruption sweep. @p workload follows the crashSweep
- * contract (deterministic, attaches the injector when the crash
- * window opens). UPR_CRASH_SEED in the environment overrides
- * config.seed, and any silent/containment failure prints the
- * point/kind/region/seed needed to replay it.
+ * Run the corruption sweep: one run of @p workload on the crash-sweep
+ * engine, classifying at every pointStride-th persistence event.
+ * @p workload follows the crashSweep contract (deterministic,
+ * attaches the injector when the crash window opens). UPR_CRASH_SEED
+ * in the environment overrides config.seed, and any silent/containment
+ * failure prints the point/kind/region/seed needed to replay it.
  *
- * @throws Fault{BadUsage} if the workload is nondeterministic, or
- *         Fault{CorruptPool} if an UNcorrupted sampled image fails to
- *         open cleanly (the sweep's control leg)
+ * @throws the engine's faults, or Fault{CorruptPool} if an
+ *         UNcorrupted sampled image fails to open cleanly (the
+ *         sweep's control leg)
  */
 FaultSweepResult faultSweep(const CrashWorkload &workload,
                             const FaultValidator &contentValid,

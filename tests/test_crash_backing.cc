@@ -1,11 +1,19 @@
 /** @file Unit tests for the Backing persistence domain (shadowed
  * writes, flush/fence discipline, crash images, random retention),
- * the overflow-safe bounds checks, CRC-32, and the CrashInjector. */
+ * the overflow-safe bounds checks, CRC-32, the CrashInjector, and the
+ * crash-sweep engine's contract (visited images equal armed crashes,
+ * a failing check stops the one run, checked replay seeds). */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "common/crc32.hh"
 #include "crash/crash_injector.hh"
+#include "crash/crash_sweep.hh"
 #include "mem/backing.hh"
 
 using namespace upr;
@@ -295,3 +303,273 @@ TEST(CrashInjector, FenceCrashLeavesStagedLinesVolatile)
     EXPECT_EQ(peek(inj.image(), 0), 0u);
 }
 
+// ---------------------------------------------------------------------
+// The sweep engine's contract
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+constexpr Bytes kChurnBytes = 4096;
+
+/**
+ * A deterministic event stream over @p count fresh backings: writes,
+ * flushes and fences spread over lines and epochs, interleaved across
+ * the backings, so every retention mode keeps a different subset of
+ * the pending lines. Attaches @p inj (if any) alone or as a set, and
+ * stops after @p limit events or at an armed crash.
+ * @return the backings as the stream left them
+ */
+std::vector<Backing>
+churn(CrashInjector *inj, unsigned count,
+      std::uint64_t limit = std::numeric_limits<std::uint64_t>::max())
+{
+    std::vector<Backing> media(count, Backing(kChurnBytes));
+    std::vector<Backing *> set;
+    for (Backing &b : media) {
+        poke(b, 0, 0xBA5E); // pre-window baseline
+        b.enablePersistenceDomain();
+        set.push_back(&b);
+    }
+    if (inj != nullptr && count == 1)
+        inj->attach(media[0]);
+    else if (inj != nullptr)
+        inj->attach(set);
+    std::uint64_t issued = 0;
+    try {
+        for (unsigned i = 0; i < 40; ++i) {
+            Backing &b = media[(i / 3) % count];
+            const Bytes line = (i * 7) % 16 * Backing::kLineBytes;
+            if (issued++ == limit)
+                break;
+            poke(b, line + (i % 8) * 8, 0x100 + i);
+            if (i % 3 == 0) {
+                if (issued++ == limit)
+                    break;
+                b.flush(line, Backing::kLineBytes);
+            }
+            if (i % 5 == 4) {
+                if (issued++ == limit)
+                    break;
+                b.fence();
+            }
+        }
+    } catch (const SimulatedCrash &) {
+    }
+    return media;
+}
+
+/** Both images of every backing, as read at one event. */
+struct Seen
+{
+    std::vector<std::vector<std::uint8_t>> image;
+    std::vector<std::vector<std::uint8_t>> strict;
+};
+
+} // namespace
+
+// The single-run sweep is only sound if what the visitor reads at
+// event N is byte for byte what a crash armed at N captures — for
+// every retention mode, alone and as a set — and both are the media
+// after exactly N-1 events (event N never applied), with the
+// retention stream of point N: seed ^ N alone, and
+// seed ^ (N * 0x9e3779b9 + b) per backing b of a set.
+TEST(CrashInjector, VisitedImagesEqualArmedCrashImages)
+{
+    constexpr std::uint64_t kSeed = 77;
+    for (unsigned count : {1u, 2u}) {
+        for (CrashMode mode :
+             {CrashMode::DiscardUnfenced, CrashMode::RetainRandom,
+              CrashMode::RetainEpoch, CrashMode::RetainBoundedStale}) {
+            SCOPED_TRACE(std::string(crashModeName(mode)) + " x" +
+                         std::to_string(count));
+            std::vector<Seen> seen;
+            CrashInjector visitor(mode, kSeed);
+            visitor.visit([&](std::uint64_t n, unsigned owner) {
+                EXPECT_EQ(n, seen.size() + 1);
+                EXPECT_LT(owner, count);
+                Seen s;
+                for (unsigned b = 0; b < count; ++b) {
+                    s.image.push_back(visitor.image(b));
+                    s.strict.push_back(visitor.strictImage(b));
+                }
+                seen.push_back(std::move(s));
+            });
+            churn(&visitor, count);
+            ASSERT_EQ(visitor.events(), seen.size());
+            ASSERT_GT(seen.size(), 40u);
+
+            std::uint64_t fenceChanges = 0;
+            for (std::uint64_t n = 1; n <= seen.size(); ++n) {
+                CrashInjector armed(mode, kSeed);
+                armed.arm(n);
+                churn(&armed, count);
+                ASSERT_TRUE(armed.fired()) << "point " << n;
+                const std::vector<Backing> before =
+                    churn(nullptr, count, n - 1);
+                for (unsigned b = 0; b < count; ++b) {
+                    const std::uint64_t seed =
+                        count == 1 ? kSeed ^ n
+                                   : kSeed ^ (n * 0x9e3779b9ULL + b);
+                    const auto want = before[b].crashImage(mode, seed);
+                    const auto strict =
+                        before[b].crashImage(CrashMode::DiscardUnfenced);
+                    EXPECT_EQ(seen[n - 1].image[b], want)
+                        << "point " << n << " backing " << b;
+                    EXPECT_EQ(armed.image(b), want)
+                        << "point " << n << " backing " << b;
+                    EXPECT_EQ(seen[n - 1].strict[b], strict)
+                        << "point " << n << " backing " << b;
+                    EXPECT_EQ(armed.strictImage(b), strict)
+                        << "point " << n << " backing " << b;
+                    if (n < seen.size() &&
+                        seen[n].strict[b] != seen[n - 1].strict[b])
+                        ++fenceChanges;
+                }
+            }
+            // The stream must be able to tell "before" from "after":
+            // fences move the strict image.
+            EXPECT_GT(fenceChanges, 0u);
+        }
+    }
+}
+
+// A failing check ends the one run: the replay banner prints once,
+// the writes the workload makes while unwinding (a rollback) never
+// reach the check again, and the exception reaches the caller.
+TEST(CrashSweepEngine, ThrowingCheckStopsTheRunOnce)
+{
+    std::uint64_t calls = 0;
+    const auto check = [&](const CrashInjector &, std::uint64_t n,
+                           unsigned) {
+        ++calls;
+        if (n == 4)
+            throw std::logic_error("check failed");
+    };
+    const auto workload = [](CrashInjector &inj) {
+        Backing b(kChurnBytes);
+        inj.attach(b);
+        struct Rollback
+        {
+            Backing &b;
+            ~Rollback()
+            {
+                poke(b, 64, 0xDEAD);
+                b.flush(64, 8);
+                b.fence();
+            }
+        } rollback{b};
+        for (unsigned i = 0; i < 10; ++i)
+            poke(b, i * 8, i);
+    };
+
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(crashSweep(workload, check), std::logic_error);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(calls, 4u);
+
+    const auto count = [&err](const std::string &needle) {
+        std::size_t hits = 0;
+        for (auto at = err.find(needle); at != std::string::npos;
+             at = err.find(needle, at + 1))
+            ++hits;
+        return hits;
+    };
+    EXPECT_EQ(count("crash sweep FAILED at point 4 "), 1u) << err;
+    EXPECT_EQ(count("replay with: UPR_CRASH_SEED="), 1u) << err;
+}
+
+// A workload that swallows the failure while unwinding still fails
+// the sweep.
+TEST(CrashSweepEngine, SwallowedCheckFailureStillReachesTheCaller)
+{
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(
+        crashSweep(
+            [](CrashInjector &inj) {
+                Backing b(kChurnBytes);
+                inj.attach(b);
+                try {
+                    for (unsigned i = 0; i < 10; ++i)
+                        poke(b, i * 8, i);
+                } catch (const std::exception &) {
+                }
+                poke(b, 128, 1);
+            },
+            [](const CrashInjector &, std::uint64_t n, unsigned) {
+                if (n == 2)
+                    throw std::logic_error("check failed");
+            }),
+        std::logic_error);
+    testing::internal::GetCapturedStderr();
+}
+
+TEST(CrashSweepEngine, WorkloadThatNeverAttachesIsBadUsage)
+{
+    try {
+        crashSweep([](CrashInjector &) {},
+                   [](const CrashInjector &, std::uint64_t, unsigned) {});
+        FAIL() << "no persistence events must not pass as a sweep";
+    } catch (const Fault &f) {
+        EXPECT_EQ(f.kind(), FaultKind::BadUsage);
+    }
+}
+
+// ---------------------------------------------------------------------
+// UPR_CRASH_SEED replay values
+// ---------------------------------------------------------------------
+
+TEST(CrashSeed, ParsesWholeNumbersInEveryBase)
+{
+    EXPECT_EQ(parseCrashSeed("0"), 0u);
+    EXPECT_EQ(parseCrashSeed("99"), 99u);
+    EXPECT_EQ(parseCrashSeed("0x1F"), 31u);
+    EXPECT_EQ(parseCrashSeed("0X1f"), 31u);
+    EXPECT_EQ(parseCrashSeed("010"), 8u);
+    EXPECT_EQ(parseCrashSeed("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(CrashSeed, RejectsGarbageEmptyAndOverflow)
+{
+    for (const char *bad :
+         {"abc", "0x1g", "12abc", "", "0x", "08", " 12", "12 ", "-1",
+          "+1", "18446744073709551616", "0x10000000000000000"}) {
+        try {
+            parseCrashSeed(bad);
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const Fault &f) {
+            EXPECT_EQ(f.kind(), FaultKind::BadUsage) << bad;
+        }
+    }
+}
+
+TEST(CrashSeed, SweepRefusesAMalformedOverride)
+{
+    const auto workload = [](CrashInjector &inj) {
+        Backing b(kChurnBytes);
+        inj.attach(b);
+        poke(b, 0, 1);
+    };
+    std::uint64_t seen = 0;
+    const auto check = [&seen](const CrashInjector &inj, std::uint64_t,
+                               unsigned) { seen = inj.seed(); };
+
+    ::setenv("UPR_CRASH_SEED", "0x1g", 1);
+    try {
+        crashSweep(workload, check);
+        ADD_FAILURE() << "swept with a malformed UPR_CRASH_SEED";
+    } catch (const Fault &f) {
+        EXPECT_EQ(f.kind(), FaultKind::BadUsage);
+    }
+    EXPECT_EQ(seen, 0u); // refused before the workload ran
+
+    ::setenv("UPR_CRASH_SEED", "0x4d", 1);
+    EXPECT_EQ(crashSweep(workload, check), 1u);
+    EXPECT_EQ(seen, 0x4du);
+
+    ::setenv("UPR_CRASH_SEED", "", 1);
+    EXPECT_FALSE(crashSeedOverride().has_value());
+    ::unsetenv("UPR_CRASH_SEED");
+    EXPECT_FALSE(crashSeedOverride().has_value());
+}

@@ -320,7 +320,7 @@ runElidedIrSweep(CrashMode mode, EngineKind engine)
     ASSERT_EQ(p.persistency.elidedDominated, 1u);
 
     // Crash-free reference run: the workload is deterministic, so
-    // every sweep iteration allocates its cells at these offsets.
+    // the swept run allocates its cells at these offsets too.
     const std::vector<PoolOffset> off = txnir::cellOffsets(
         txnir::run(p, engine, txnir::Tier::Interp));
     ASSERT_EQ(off.size(), txnir::kRounds);

@@ -255,9 +255,9 @@ runCrashDifferential(EngineKind engine, CrashMode mode)
 
     const CrashSweepResult result = crashSweep(
         [&committed, engine](CrashInjector &inj) {
-            // committed is written incrementally: the injector aborts
-            // the workload by throwing, so it must be current at every
-            // commit, not just at workload end.
+            // committed is written incrementally: the sweep checks
+            // every crash point mid-run, so it must be current at
+            // every commit, not just at workload end.
             (void)runWorkload(engine, &inj, committed);
         },
         [&committed, engine](Pool &pool, std::uint64_t n, bool) {

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -134,7 +133,7 @@ config()
  * Execute the plan against a pool of @p engine. Writes go straight
  * through the pool backing — under undo they are observed and logged;
  * under redo they are staged. @p committed tracks successful commits
- * incrementally (the injector aborts the run by throwing).
+ * incrementally (the sweep checks every crash point mid-run).
  */
 void
 runPlan(const FuzzPlan &plan, EngineKind engine,
@@ -237,9 +236,9 @@ fuzzOneSeed(std::uint64_t seed, EngineKind engine, CrashMode mode)
     setLogSink(nullptr);
 
     EXPECT_GT(result.crashPoints, 0u) << banner(plan, engine, 0);
-    // The full (uncrashed) profiling run must land exactly on the
-    // final shadow state; sweep internals already reran recovery for
-    // idempotency at every point.
+    // A full uncrashed run must land exactly on the final shadow
+    // state; the sweep already reran recovery for idempotency at
+    // every point.
     std::size_t full_committed = 0;
     std::uint64_t snap_count = 0;
     for (const FuzzTxn &t : plan.txns)
@@ -252,9 +251,8 @@ fuzzOneSeed(std::uint64_t seed, EngineKind engine, CrashMode mode)
 std::vector<std::uint64_t>
 seeds()
 {
-    if (const char *env = std::getenv("UPR_CRASH_SEED")) {
-        return {std::strtoull(env, nullptr, 0)};
-    }
+    if (const auto seed = crashSeedOverride())
+        return {*seed};
     return {1, 0xBEEF, 0xC0FFEE};
 }
 

@@ -176,8 +176,8 @@ cellOffsets(const std::vector<std::uint64_t> &cells)
 /**
  * Check a recovered (or recovered-and-repaired) image against the
  * round contract. @p cellOff comes from a crash-free reference run —
- * the workload is deterministic, so every sweep run allocates the
- * same cells. @p committedCalls is how many calls had returned when
+ * the workload is deterministic, so a swept run allocates the same
+ * cells. @p committedCalls is how many calls had returned when
  * the crash hit.
  *
  * The contract: the arena validates; exactly the committed rounds'
