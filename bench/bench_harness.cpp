@@ -1,44 +1,53 @@
 /**
  * @file
- * Parallel benchmark harness: runs every (workload x version) cell of
- * the Figure 11 grid concurrently — one forked child process per cell
- * — then a set of pointer-op microkernels, and writes machine-readable
- * BENCH_fig11.json / BENCH_micro.json.
+ * Benchmark harness: runs the bench sections — the Figure 11 grid,
+ * pointer-op microkernels, static analysis, the fault sweep, the txn
+ * engines, the execution tiers and the sharded KV store — and writes
+ * one machine-readable BENCH_<section>.json per section.
  *
- * Cells run in child *processes*, not threads, for determinism:
- * branch-predictor site indices are salted at each pointer-op call
- * site's first execution (detail::nextSiteSalt), so concurrent cells
- * sharing one process would be handed salts in thread-schedule order
- * and "identical" runs would drift by a few cycles. fork() gives every
- * cell the pristine pre-run salt state: each cell's counters equal a
- * standalone run of exactly that cell, under any parallelism, every
- * time.
+ * Every section produces the same cell record ({workload, version,
+ * wallMs, error, values}) and one emitter writes every file. Each
+ * value is tagged where it is produced: *exact* values are
+ * deterministic functions of the model and the seed, *timing* values
+ * are host time. The file header lists the exact keys, so
+ * scripts/bench_diff.py gates them bit for bit without knowing any
+ * section (wall regression = warning, exact drift = hard error).
  *
- * The JSON records both the harness wall time and the sum of per-cell
- * wall times so the speedup is auditable, and scripts/bench_diff.py
- * compares two result files (wall regression = warning, any
- * simulated-counter drift = hard error).
+ * The fig11, micro and concurrent sections run each cell in a forked
+ * child process, not a thread, for determinism: branch-predictor site
+ * indices are salted at each pointer-op call site's first execution
+ * (detail::nextSiteSalt), so concurrent cells sharing one process
+ * would be handed salts in thread-schedule order and "identical" runs
+ * would drift by a few cycles. fork() gives every cell the pristine
+ * pre-run salt state: each cell's counters equal a standalone run of
+ * exactly that cell, under any parallelism, every time. The other
+ * sections run serially in-process, in a fixed order. Moving a
+ * section from one mode to the other, or reordering its cells,
+ * moves counters.
  *
- * Usage: bench_harness [--quick] [--jobs N] [--out DIR]
- *                      [--fig11-only | --micro-only | --static-only |
- *                       --fault-only | --txn-only | --exec-only |
- *                       --concurrent-only]
- *   --quick   scale workloads down 100x (smoke test; implies scale
- *             via UPR_BENCH_SCALE only if that variable is unset)
- *   --jobs N  worker processes (default: hardware concurrency)
- *   --out DIR output directory for the JSON files (default: .)
+ * Usage: bench_harness [--quick] [--jobs N] [--out DIR] [--only SECTION]
+ *   --quick        scale workloads down 100x (smoke test; implies scale
+ *                  via UPR_BENCH_SCALE only if that variable is unset)
+ *   --jobs N       worker processes (default: hardware concurrency)
+ *   --out DIR      output directory for the JSON files (default: .)
+ *   --only SECTION run just that section (default: fig11, micro and
+ *                  static); see kSections for the names
  */
 
 #include <dirent.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <fstream>
-#include <thread>
-
+#include <functional>
+#include <iterator>
 #include <map>
+#include <thread>
 
 #include "bench_common.hh"
 #include "bench_ir.hh"
@@ -79,27 +88,145 @@ const Version kAllVersions[] = {Version::Volatile, Version::Sw,
                                 Version::Hw, Version::Explicit};
 
 // ----------------------------------------------------------------------
-// Forked cell runner
+// Cell record
 // ----------------------------------------------------------------------
 
-/** Fixed-size result record shipped child -> parent over a pipe. */
-template <typename Stats>
-struct ForkOutcome
+/** One reported value: a counter or a latency-histogram summary. */
+struct Value
 {
-    Stats stats = {};
-    double wallMs = 0;
-    std::uint8_t failed = 0;
-    char error[160] = {};
+    /** A string literal; "group.name" nests under object "group". */
+    const char *key = nullptr;
+    /** Exact values are gated bit for bit; timing ones are host time. */
+    bool exact = false;
+    bool isHist = false;
+    std::uint64_t number = 0;
+    HistSummary hist = {};
 };
 
-using CellOutcome = ForkOutcome<RunStats>;
-
-template <typename Stats>
-void
-setOutcomeError(ForkOutcome<Stats> &oc, const char *what)
+/**
+ * One bench cell's result. Trivially copyable and holding only
+ * string-literal pointers (a forked child's literals sit at the
+ * parent's addresses), so a child ships it as one pipe write.
+ */
+struct Record
 {
-    oc.failed = 1;
-    std::snprintf(oc.error, sizeof(oc.error), "%s", what);
+    static constexpr std::size_t kMaxValues = 24;
+
+    const char *workload = "";
+    const char *version = "";
+    double wallMs = 0;
+    char error[160] = {};
+    std::size_t size = 0;
+    Value values[kMaxValues] = {};
+
+    Record() = default;
+    Record(const char *w, const char *v) : workload(w), version(v) {}
+
+    void exact(const char *key, std::uint64_t v) { add({key, true, false, v}); }
+    void exact(const char *key, const HistSummary &h) { add({key, true, true, 0, h}); }
+    void timing(const char *key, const HistSummary &h) { add({key, false, true, 0, h}); }
+
+    /** Counter @p key, or 0 if the cell does not report it. */
+    std::uint64_t
+    get(const char *key) const
+    {
+        for (std::size_t i = 0; i < size; ++i)
+            if (!std::strcmp(values[i].key, key))
+                return values[i].number;
+        return 0;
+    }
+
+    bool failed() const { return error[0] != '\0'; }
+
+    void
+    fail(const char *what)
+    {
+        std::snprintf(error, sizeof(error), "%s", what);
+    }
+
+  private:
+    void
+    add(const Value &v)
+    {
+        if (size == kMaxValues)
+            throw std::length_error("bench cell: too many values");
+        values[size++] = v;
+    }
+};
+
+static_assert(std::is_trivially_copyable_v<Record>,
+              "a cell record crosses a pipe");
+static_assert(sizeof(Record) <= PIPE_BUF,
+              "a cell record is one atomic pipe write");
+
+/** The RunStats counters, in emission order; all exact. */
+void
+addStats(Record &r, const RunStats &st)
+{
+    r.exact("cycles", st.cycles);
+    r.exact("checksum", st.checksum);
+    r.exact("memAccesses", st.memAccesses);
+    r.exact("storePs", st.storePs);
+    r.exact("polbAccesses", st.polbAccesses);
+    r.exact("polbWalks", st.polbWalks);
+    r.exact("valbAccesses", st.valbAccesses);
+    r.exact("valbWalks", st.valbWalks);
+    r.exact("branches", st.branches);
+    r.exact("branchMisses", st.branchMisses);
+    r.exact("dynamicChecks", st.dynamicChecks);
+    r.exact("absToRel", st.absToRel);
+    r.exact("relToAbs", st.relToAbs);
+    r.exact("reuseHits", st.reuseHits);
+    // Per-operation latency histograms of the measured phase, in
+    // simulated cycles: deterministic like the counters above.
+    r.exact("metrics.checkCycles", st.checkCycles);
+    r.exact("metrics.ptrAssignCycles", st.ptrAssignCycles);
+}
+
+/**
+ * Print OUTPUT MISMATCH for every successful cell in
+ * [@p first, @p first + @p n) whose checksum differs from the first
+ * successful one. @return true if they all agree.
+ */
+bool
+checksumsAgree(const std::vector<Record> &cells, std::size_t first,
+               std::size_t n)
+{
+    bool ok = true;
+    const Record *ref = nullptr;
+    for (std::size_t i = first; i < first + n; ++i) {
+        const Record &r = cells[i];
+        if (r.failed())
+            continue;
+        if (ref == nullptr) {
+            ref = &r;
+        } else if (r.get("checksum") != ref->get("checksum")) {
+            std::fprintf(stderr, "OUTPUT MISMATCH on %s: version %s\n",
+                         r.workload, r.version);
+            ok = false;
+        }
+    }
+    return ok;
+}
+
+// ----------------------------------------------------------------------
+// Cell runners
+// ----------------------------------------------------------------------
+
+/** Computes cell @p i's values into its record. */
+using CellFn = std::function<void(std::size_t i, Record &r)>;
+
+/** Run one cell, timing it and turning an exception into an error. */
+void
+runCell(std::size_t i, Record &r, const CellFn &fn)
+{
+    const auto t0 = SteadyClock::now();
+    try {
+        fn(i, r);
+    } catch (const std::exception &e) {
+        r.fail(e.what());
+    }
+    r.wallMs = millisSince(t0);
 }
 
 /** Live threads in this process (fork safety: must be 1 to fork). */
@@ -119,25 +246,21 @@ threadCount()
 }
 
 /**
- * Run @p n cells, each in its own forked child, at most @p jobs
- * children live at once. @p fn(i) computes cell i's Stats (in the
- * child). A child that dies without reporting yields a failed cell,
- * not a dead harness.
+ * Run every cell in its own forked child, at most @p jobs children
+ * live at once. A child that dies without reporting yields a failed
+ * cell, not a dead harness.
  *
  * Fork safety: fork() in a multi-threaded process duplicates only the
  * calling thread — any lock another thread holds (malloc's arena, a
- * Runtime's shard) stays locked forever in the child. Sections that
- * spawn threads (the concurrent one) must join them before the next
- * forked section runs; this runner enforces the contract by refusing
- * to fork while the process has more than one live thread.
+ * Runtime's shard) stays locked forever in the child. Cells that
+ * spawn threads (the concurrent ones) must join them before the next
+ * fork; this runner enforces the contract by refusing to fork while
+ * the process has more than one live thread.
  */
-template <typename Stats, typename RunFn>
-std::vector<ForkOutcome<Stats>>
-runForked(std::size_t n, unsigned jobs, RunFn fn)
+void
+runForked(std::vector<Record> &cells, unsigned jobs, const CellFn &fn)
 {
-    static_assert(std::is_trivially_copyable_v<Stats>,
-                  "outcome record crosses a pipe");
-    std::vector<ForkOutcome<Stats>> out(n);
+    const std::size_t n = cells.size();
     std::vector<pid_t> pids(n, -1);
     std::vector<int> fds(n, -1);
     std::size_t launched = 0;
@@ -145,15 +268,14 @@ runForked(std::size_t n, unsigned jobs, RunFn fn)
 
     const auto launch = [&](std::size_t i) {
         if (threadCount() > 1) {
-            setOutcomeError(out[i],
-                            "refusing to fork: the harness process is "
-                            "multi-threaded (a previous section did "
-                            "not quiesce its workers)");
+            cells[i].fail("refusing to fork: the harness process is "
+                          "multi-threaded (a previous section did not "
+                          "quiesce its workers)");
             return;
         }
         int pipefd[2];
         if (pipe(pipefd) != 0) {
-            setOutcomeError(out[i], "pipe() failed");
+            cells[i].fail("pipe() failed");
             return;
         }
         std::fflush(nullptr); // don't duplicate buffered output
@@ -161,22 +283,15 @@ runForked(std::size_t n, unsigned jobs, RunFn fn)
         if (pid < 0) {
             close(pipefd[0]);
             close(pipefd[1]);
-            setOutcomeError(out[i], "fork() failed");
+            cells[i].fail("fork() failed");
             return;
         }
         if (pid == 0) {
             close(pipefd[0]);
-            ForkOutcome<Stats> oc;
-            const auto t0 = SteadyClock::now();
-            try {
-                oc.stats = fn(i);
-            } catch (const std::exception &e) {
-                setOutcomeError(oc, e.what());
-            }
-            oc.wallMs = millisSince(t0);
-            // One record, well under PIPE_BUF: a single atomic write.
-            const ssize_t w = write(pipefd[1], &oc, sizeof(oc));
-            _exit(w == static_cast<ssize_t>(sizeof(oc)) ? 0 : 1);
+            runCell(i, cells[i], fn);
+            // One record, at most PIPE_BUF: a single atomic write.
+            const ssize_t w = write(pipefd[1], &cells[i], sizeof(Record));
+            _exit(w == static_cast<ssize_t>(sizeof(Record)) ? 0 : 1);
         }
         close(pipefd[1]);
         pids[i] = pid;
@@ -192,14 +307,15 @@ runForked(std::size_t n, unsigned jobs, RunFn fn)
         for (std::size_t i = 0; i < n; ++i) {
             if (pids[i] != pid)
                 continue;
-            const ssize_t r = read(fds[i], &out[i], sizeof(out[i]));
-            if (r != static_cast<ssize_t>(sizeof(out[i])) ||
+            Record got;
+            const ssize_t r = read(fds[i], &got, sizeof(got));
+            if (r == static_cast<ssize_t>(sizeof(got)))
+                cells[i] = got;
+            if (r != static_cast<ssize_t>(sizeof(got)) ||
                 (WIFEXITED(status) && WEXITSTATUS(status) != 0) ||
                 WIFSIGNALED(status)) {
-                if (!out[i].failed)
-                    setOutcomeError(out[i],
-                                    "cell process died without "
-                                    "reporting");
+                if (!cells[i].failed())
+                    cells[i].fail("cell process died without reporting");
             }
             close(fds[i]);
             fds[i] = -1;
@@ -215,161 +331,126 @@ runForked(std::size_t n, unsigned jobs, RunFn fn)
         else
             reap();
     }
-    return out;
+}
+
+/**
+ * How a section's cells run: forked (one child per cell, @c jobs at a
+ * time) or serially in-process, in order (@c jobs is then 1).
+ */
+struct CellRunner
+{
+    bool fork;
+    unsigned jobs;
+
+    void
+    operator()(std::vector<Record> &cells, const CellFn &fn) const
+    {
+        if (fork) {
+            runForked(cells, jobs, fn);
+        } else {
+            for (std::size_t i = 0; i < cells.size(); ++i)
+                runCell(i, cells[i], fn);
+        }
+    }
+};
+
+// ----------------------------------------------------------------------
+// Emitter
+// ----------------------------------------------------------------------
+
+void
+emitValues(JsonWriter &json, const Record &r)
+{
+    std::string group; // the open nested object, if any
+    for (std::size_t i = 0; i < r.size; ++i) {
+        const Value &v = r.values[i];
+        const char *dot = std::strchr(v.key, '.');
+        const std::string g = dot ? std::string(v.key, dot) : "";
+        if (g != group) {
+            if (!group.empty())
+                json.end();
+            if (!g.empty())
+                json.key(g).beginObject();
+            group = g;
+        }
+        const char *leaf = dot ? dot + 1 : v.key;
+        if (!v.isHist) {
+            json.kv(leaf, v.number);
+            continue;
+        }
+        json.key(leaf).beginObject();
+        json.kv("count", v.hist.count);
+        json.kv("p50", v.hist.p50);
+        json.kv("p90", v.hist.p90);
+        json.kv("p99", v.hist.p99);
+        json.kv("max", v.hist.max);
+        json.end();
+    }
+    if (!group.empty())
+        json.end();
+}
+
+/** Write one section's file. @return false on I/O error. */
+bool
+emit(const std::string &path, const std::vector<Record> &cells,
+     unsigned jobs, double harnessWallMs, double serialSumMs)
+{
+    std::vector<std::string> exactKeys; // first-appearance order
+    for (const Record &r : cells) {
+        for (std::size_t i = 0; !r.failed() && i < r.size; ++i) {
+            const Value &v = r.values[i];
+            if (v.exact && std::find(exactKeys.begin(), exactKeys.end(),
+                                     v.key) == exactKeys.end())
+                exactKeys.push_back(v.key);
+        }
+    }
+
+    JsonWriter json;
+    json.beginObject();
+    json.kv("schema", std::uint64_t{2});
+    json.kv("gitRev", UPR_GIT_REV);
+    json.kv("benchScale", benchScale());
+    json.kv("jobs", std::uint64_t{jobs});
+    json.kv("harnessWallMs", harnessWallMs);
+    json.kv("serialSumMs", serialSumMs);
+    json.key("exactKeys").beginArray();
+    for (const std::string &k : exactKeys)
+        json.value(k);
+    json.end();
+    json.key("cells").beginArray();
+    for (const Record &r : cells) {
+        json.beginObject();
+        json.kv("workload", r.workload);
+        json.kv("version", r.version);
+        json.kv("wallMs", r.wallMs);
+        if (r.failed())
+            json.kv("error", r.error);
+        else
+            emitValues(json, r);
+        json.end();
+    }
+    json.end();
+    json.end();
+    return json.writeFile(path);
 }
 
 // ----------------------------------------------------------------------
 // Fig 11 grid
 // ----------------------------------------------------------------------
 
-struct Cell
-{
-    Workload workload;
-    Version version;
-    RunStats stats = {};
-    double wallMs = 0;
-    bool failed = false;
-    std::string error = {};
-};
-
-/** Run all cells in forked children, @p jobs at a time. */
-void
-runGrid(std::vector<Cell> &cells, unsigned jobs)
-{
-    const std::vector<CellOutcome> outcomes =
-        runForked<RunStats>(cells.size(), jobs, [&](std::size_t i) {
-            return run(cells[i].workload, cells[i].version);
-        });
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        cells[i].stats = outcomes[i].stats;
-        cells[i].wallMs = outcomes[i].wallMs;
-        cells[i].failed = outcomes[i].failed != 0;
-        cells[i].error = outcomes[i].error;
-    }
-}
-
-void
-emitHistSummary(JsonWriter &json, const char *name,
-                const HistSummary &h)
-{
-    json.key(name).beginObject();
-    json.kv("count", h.count);
-    json.kv("p50", h.p50);
-    json.kv("p90", h.p90);
-    json.kv("p99", h.p99);
-    json.kv("max", h.max);
-    json.end();
-}
-
-void
-emitStats(JsonWriter &json, const RunStats &st)
-{
-    json.kv("cycles", st.cycles);
-    json.kv("checksum", st.checksum);
-    json.kv("memAccesses", st.memAccesses);
-    json.kv("storePs", st.storePs);
-    json.kv("polbAccesses", st.polbAccesses);
-    json.kv("polbWalks", st.polbWalks);
-    json.kv("valbAccesses", st.valbAccesses);
-    json.kv("valbWalks", st.valbWalks);
-    json.kv("branches", st.branches);
-    json.kv("branchMisses", st.branchMisses);
-    json.kv("dynamicChecks", st.dynamicChecks);
-    json.kv("absToRel", st.absToRel);
-    json.kv("relToAbs", st.relToAbs);
-    json.kv("reuseHits", st.reuseHits);
-    // Per-operation latency histograms of the measured phase.
-    // Simulated cycles, deterministic like the counters above.
-    json.key("metrics").beginObject();
-    emitHistSummary(json, "checkCycles", st.checkCycles);
-    emitHistSummary(json, "ptrAssignCycles", st.ptrAssignCycles);
-    json.end();
-}
-
-void
-emitHeader(JsonWriter &json, unsigned jobs)
-{
-    json.kv("schema", std::uint64_t{1});
-    json.kv("gitRev", UPR_GIT_REV);
-    json.kv("benchScale", benchScale());
-    json.kv("jobs", std::uint64_t{jobs});
-}
-
-/** @return true on success (all cells ran, checksums agree). */
 bool
-runFig11(const std::string &out_dir, unsigned jobs)
+fig11Section(std::vector<Record> &cells, const CellRunner &runCells)
 {
-    std::vector<Cell> cells;
     for (Workload w : kAllWorkloads)
         for (Version v : kAllVersions)
-            cells.push_back(Cell{w, v});
-
-    const auto start = SteadyClock::now();
-    runGrid(cells, jobs);
-    const double harness_wall = millisSince(start);
-
-    double serial_sum = 0;
-    bool ok = true;
-    for (const Cell &cell : cells) {
-        serial_sum += cell.wallMs;
-        if (cell.failed) {
-            std::fprintf(stderr, "FAIL %s/%s: %s\n",
-                         workloadName(cell.workload),
-                         versionName(cell.version), cell.error.c_str());
-            ok = false;
-        }
-    }
-
+            cells.emplace_back(workloadName(w), versionName(v));
+    runCells(cells, [](std::size_t i, Record &r) {
+        addStats(r, run(kAllWorkloads[i / 4], kAllVersions[i % 4]));
+    });
     // Soundness: every version of a workload computed the same value.
-    for (Workload w : kAllWorkloads) {
-        std::uint64_t checksum = 0;
-        bool have = false;
-        for (const Cell &cell : cells) {
-            if (cell.workload != w || cell.failed)
-                continue;
-            if (!have) {
-                checksum = cell.stats.checksum;
-                have = true;
-            } else if (cell.stats.checksum != checksum) {
-                std::fprintf(stderr,
-                             "OUTPUT MISMATCH on %s: version %s\n",
-                             workloadName(w),
-                             versionName(cell.version));
-                ok = false;
-            }
-        }
-    }
-
-    JsonWriter json;
-    json.beginObject();
-    emitHeader(json, jobs);
-    json.kv("harnessWallMs", harness_wall);
-    json.kv("serialSumMs", serial_sum);
-    json.key("cells").beginArray();
-    for (const Cell &cell : cells) {
-        json.beginObject();
-        json.kv("workload", workloadName(cell.workload));
-        json.kv("version", versionName(cell.version));
-        json.kv("wallMs", cell.wallMs);
-        if (cell.failed) {
-            json.kv("error", cell.error);
-        } else {
-            emitStats(json, cell.stats);
-        }
-        json.end();
-    }
-    json.end();
-    json.end();
-
-    const std::string path = out_dir + "/BENCH_fig11.json";
-    if (!json.writeFile(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    std::printf("fig11 grid: %zu cells, wall %.0f ms "
-                "(serial sum %.0f ms, %.2fx), %s\n",
-                cells.size(), harness_wall, serial_sum,
-                serial_sum / harness_wall, path.c_str());
+    bool ok = true;
+    for (std::size_t i = 0; i < cells.size(); i += 4)
+        ok = checksumsAgree(cells, i, 4) && ok;
     return ok;
 }
 
@@ -379,123 +460,120 @@ runFig11(const std::string &out_dir, unsigned jobs)
 // counters are deterministic per (kernel, version, scale).
 // ----------------------------------------------------------------------
 
-struct MicroResult
+struct MicroNode
 {
-    std::string kernel;
-    Version version;
-    RunStats stats;
-    double wallMs = 0;
-    std::string error = {};
+    Ptr<MicroNode> next;
+    std::uint64_t value = 0;
 };
 
-Runtime::Config
-microConfig(Version v)
+/**
+ * The counters of @p body alone (it returns a checksum): counters
+ * reset first, while the microarchitectural state stays warm from the
+ * setup.
+ */
+template <typename Body>
+RunStats
+measure(Runtime &rt, Body &&body)
 {
-    Runtime::Config cfg;
-    cfg.version = v;
-    cfg.seed = 0xB0;
-    return cfg;
+    rt.machine().resetAllStats();
+    rt.resetCounters();
+    const Cycles begin = rt.machine().now();
+    const std::uint64_t sum = body();
+    return bench::detail::snapshot(rt, rt.machine().now() - begin, sum);
 }
+
+/** A fresh runtime, bound to this thread, with one 64 MiB pool. */
+struct MicroRig
+{
+    static Runtime::Config
+    config(Version v)
+    {
+        Runtime::Config cfg;
+        cfg.version = v;
+        cfg.seed = 0xB0;
+        return cfg;
+    }
+
+    explicit MicroRig(Version v)
+        : rt(config(v)), scope(rt),
+          env(MemEnv::persistentEnv(rt, rt.createPool("micro", 64 << 20)))
+    {
+    }
+
+    Runtime rt;
+    RuntimeScope scope;
+    MemEnv env;
+};
 
 /** Chase one pointer ring end to end @p laps times. */
 RunStats
 microPtrChase(Version v, std::uint64_t nodes, std::uint64_t laps)
 {
-    Runtime rt(microConfig(v));
-    RuntimeScope scope(rt);
-    const PoolId pool = rt.createPool("micro", 64 << 20);
-
-    struct Node
-    {
-        Ptr<Node> next;
-        std::uint64_t value = 0;
-    };
-    MemEnv env = MemEnv::persistentEnv(rt, pool);
-    std::vector<Ptr<Node>> ring;
+    MicroRig m(v);
+    std::vector<Ptr<MicroNode>> ring;
     for (std::uint64_t i = 0; i < nodes; ++i) {
-        Ptr<Node> n = env.alloc<Node>();
-        n.setField(&Node::value, i);
+        Ptr<MicroNode> n = m.env.alloc<MicroNode>();
+        n.setField(&MicroNode::value, i);
         ring.push_back(n);
     }
     for (std::uint64_t i = 0; i < nodes; ++i)
-        ring[i].setPtrField(&Node::next, ring[(i + 1) % nodes]);
+        ring[i].setPtrField(&MicroNode::next, ring[(i + 1) % nodes]);
 
-    rt.machine().resetAllStats();
-    rt.resetCounters();
-    const Cycles begin = rt.machine().now();
-    std::uint64_t sum = 0;
-    Ptr<Node> p = ring[0];
-    for (std::uint64_t i = 0; i < nodes * laps; ++i) {
-        sum += p.field(&Node::value);
-        p = p.ptrField(&Node::next);
-    }
-    return bench::detail::snapshot(rt, rt.machine().now() - begin, sum);
+    return measure(m.rt, [&] {
+        std::uint64_t sum = 0;
+        Ptr<MicroNode> p = ring[0];
+        for (std::uint64_t i = 0; i < nodes * laps; ++i) {
+            sum += p.field(&MicroNode::value);
+            p = p.ptrField(&MicroNode::next);
+        }
+        return sum;
+    });
 }
 
 /** storeP churn: overwrite pointer slots with relative values. */
 RunStats
 microStorePChurn(Version v, std::uint64_t slots, std::uint64_t rounds)
 {
-    Runtime rt(microConfig(v));
-    RuntimeScope scope(rt);
-    const PoolId pool = rt.createPool("micro", 64 << 20);
-
-    struct Node
-    {
-        Ptr<Node> next;
-        std::uint64_t value = 0;
-    };
-    MemEnv env = MemEnv::persistentEnv(rt, pool);
-    std::vector<Ptr<Node>> cells;
+    MicroRig m(v);
+    std::vector<Ptr<MicroNode>> cells;
     for (std::uint64_t i = 0; i < slots; ++i)
-        cells.push_back(env.alloc<Node>());
+        cells.push_back(m.env.alloc<MicroNode>());
 
-    rt.machine().resetAllStats();
-    rt.resetCounters();
-    const Cycles begin = rt.machine().now();
-    for (std::uint64_t r = 0; r < rounds; ++r)
+    return measure(m.rt, [&] {
+        for (std::uint64_t r = 0; r < rounds; ++r)
+            for (std::uint64_t i = 0; i < slots; ++i)
+                cells[i].setPtrField(&MicroNode::next,
+                                     cells[(i + r + 1) % slots]);
+        std::uint64_t sum = 0;
         for (std::uint64_t i = 0; i < slots; ++i)
-            cells[i].setPtrField(&Node::next,
-                                 cells[(i + r + 1) % slots]);
-    std::uint64_t sum = 0;
-    for (std::uint64_t i = 0; i < slots; ++i)
-        sum += cells[i].ptrField(&Node::next).bits();
-    return bench::detail::snapshot(rt, rt.machine().now() - begin, sum);
+            sum += cells[i].ptrField(&MicroNode::next).bits();
+        return sum;
+    });
 }
 
 /** Hot ra2va: dereference the same few persistent objects. */
 RunStats
 microResolveHot(Version v, std::uint64_t objects, std::uint64_t reps)
 {
-    Runtime rt(microConfig(v));
-    RuntimeScope scope(rt);
-    const PoolId pool = rt.createPool("micro", 64 << 20);
-
-    struct Node
-    {
-        Ptr<Node> next;
-        std::uint64_t value = 0;
-    };
-    MemEnv env = MemEnv::persistentEnv(rt, pool);
-    std::vector<Ptr<Node>> objs;
+    MicroRig m(v);
+    std::vector<Ptr<MicroNode>> objs;
     for (std::uint64_t i = 0; i < objects; ++i) {
-        Ptr<Node> n = env.alloc<Node>();
-        n.setField(&Node::value, i * 3 + 1);
+        Ptr<MicroNode> n = m.env.alloc<MicroNode>();
+        n.setField(&MicroNode::value, i * 3 + 1);
         objs.push_back(n);
     }
 
-    rt.machine().resetAllStats();
-    rt.resetCounters();
-    const Cycles begin = rt.machine().now();
-    std::uint64_t sum = 0;
-    for (std::uint64_t r = 0; r < reps; ++r)
-        for (std::uint64_t i = 0; i < objects; ++i)
-            sum += objs[i].field(&Node::value);
-    return bench::detail::snapshot(rt, rt.machine().now() - begin, sum);
+    return measure(m.rt, [&] {
+        std::uint64_t sum = 0;
+        for (std::uint64_t r = 0; r < reps; ++r)
+            for (std::uint64_t i = 0; i < objects; ++i)
+                sum += objs[i].field(&MicroNode::value);
+        return sum;
+    });
 }
 
 bool
-runMicro(const std::string &out_dir, unsigned jobs)
+microSection(std::vector<Record> &cells, const CellRunner &runCells)
 {
     const std::uint64_t scale = benchScale();
     struct Kernel
@@ -510,85 +588,26 @@ runMicro(const std::string &out_dir, unsigned jobs)
         {"storep_churn", microStorePChurn, 512, 128 / std::min<std::uint64_t>(scale, 128)},
         {"resolve_hot", microResolveHot, 64, 2048 / std::min<std::uint64_t>(scale, 2048)},
     };
-
-    std::vector<MicroResult> results;
     for (const Kernel &k : kernels)
         for (Version v : kAllVersions)
-            results.push_back(MicroResult{k.name, v, {}, 0});
-
-    const auto start = SteadyClock::now();
-    const std::vector<CellOutcome> outcomes =
-        runForked<RunStats>(results.size(), jobs, [&](std::size_t i) {
-            const Kernel &k = kernels[i / 4];
-            return k.fn(results[i].version, k.a, k.b);
-        });
-    bool ok = true;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        results[i].stats = outcomes[i].stats;
-        results[i].wallMs = outcomes[i].wallMs;
-        if (outcomes[i].failed) {
-            results[i].error = outcomes[i].error;
-            std::fprintf(stderr, "FAIL micro %s/%s: %s\n",
-                         results[i].kernel.c_str(),
-                         versionName(results[i].version),
-                         outcomes[i].error);
-            ok = false;
-        }
-    }
-    const double harness_wall = millisSince(start);
-
-    double serial_sum = 0;
-    for (const MicroResult &r : results)
-        serial_sum += r.wallMs;
-
-    JsonWriter json;
-    json.beginObject();
-    emitHeader(json, jobs);
-    json.kv("harnessWallMs", harness_wall);
-    json.kv("serialSumMs", serial_sum);
-    json.key("cells").beginArray();
-    for (const MicroResult &r : results) {
-        json.beginObject();
-        json.kv("workload", r.kernel);
-        json.kv("version", versionName(r.version));
-        json.kv("wallMs", r.wallMs);
-        if (!r.error.empty())
-            json.kv("error", r.error);
-        else
-            emitStats(json, r.stats);
-        json.end();
-    }
-    json.end();
-    json.end();
-
-    const std::string path = out_dir + "/BENCH_micro.json";
-    if (!json.writeFile(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    std::printf("micro: %zu cells, wall %.0f ms, %s\n", results.size(),
-                harness_wall, path.c_str());
-    return ok;
+            cells.emplace_back(k.name, versionName(v));
+    runCells(cells, [&](std::size_t i, Record &r) {
+        const Kernel &k = kernels[i / 4];
+        addStats(r, k.fn(kAllVersions[i % 4], k.a, k.b));
+    });
+    return true;
 }
 
 // ----------------------------------------------------------------------
 // Static-analysis section: the Fig 9 program interpreted under three
 // check plans — fully dynamic, inference-pruned, and elision-pruned —
 // with the plan statistics and elided-check counts alongside the
-// simulated counters. Serial and in-process: the IR interpreter is
-// deterministic on a fresh Runtime, and the three runs take
-// milliseconds.
+// simulated counters, plus the persistency analysis's proof counts on
+// the transactional round workload.
 // ----------------------------------------------------------------------
 
-struct StaticCell
-{
-    const char *variant;
-    CheckPlan plan;
-    std::uint64_t elided = 0;
-};
-
 bool
-runStatic(const std::string &out_dir)
+staticSection(std::vector<Record> &cells, const CellRunner &runCells)
 {
     using namespace upr::ir;
     const std::uint64_t kNodes = 200;
@@ -597,111 +616,74 @@ runStatic(const std::string &out_dir)
     const InferenceResult inf = inferPointerKinds(mod, true);
     FlowAnalysis flow(mod, inf);
 
-    std::vector<StaticCell> cells;
-    cells.push_back({"sw-dynamic", insertChecks(mod, nullptr), 0});
-    cells.push_back({"sw-inferred", insertChecks(mod, &inf), 0});
+    struct Plan
     {
-        StaticCell c{"sw-elided", insertChecks(mod, &inf), 0};
-        c.elided = elideChecks(mod, flow, c.plan).elidedSites;
-        cells.push_back(std::move(c));
+        const char *variant;
+        CheckPlan plan;
+        std::uint64_t elided = 0;
+    };
+    std::vector<Plan> plans;
+    plans.push_back({"sw-dynamic", insertChecks(mod, nullptr), 0});
+    plans.push_back({"sw-inferred", insertChecks(mod, &inf), 0});
+    {
+        Plan p{"sw-elided", insertChecks(mod, &inf), 0};
+        p.elided = elideChecks(mod, flow, p.plan).elidedSites;
+        plans.push_back(std::move(p));
     }
-
-    const auto start = SteadyClock::now();
-    JsonWriter json;
-    json.beginObject();
-    emitHeader(json, 1);
-    json.key("cells").beginArray();
+    for (const Plan &p : plans)
+        cells.emplace_back("fig9", p.variant);
+    cells.emplace_back("txn-round", "sw-persistency");
 
     bool ok = true;
-    std::uint64_t checksum = 0;
-    bool have_checksum = false;
-    for (const StaticCell &cell : cells) {
-        const auto t0 = SteadyClock::now();
+    runCells(cells, [&](std::size_t i, Record &r) {
+        if (i == plans.size()) {
+            // The persistency analysis's proof and diagnostic counts
+            // are exact functions of the module: a lattice change
+            // that silently proves more (or less) must recapture the
+            // golden deliberately.
+            const txnir::Program p = txnir::compile(/*elide=*/true);
+            r.exact("txStores", p.persistency.txStores);
+            r.exact("logElided", p.persistency.logElided);
+            r.exact("elidedFresh", p.persistency.elidedFresh);
+            r.exact("elidedDominated", p.persistency.elidedDominated);
+            r.exact("persistencyDiags", p.persistency.findingCount());
+            if (p.persistency.diags.errorCount() != 0) {
+                std::fprintf(stderr,
+                             "FAIL static bench: txn-round has "
+                             "persistency errors:\n%s",
+                             p.persistency.diags.render().c_str());
+                ok = false;
+            }
+            return;
+        }
+        const Plan &plan = plans[i];
         Runtime::Config cfg;
         cfg.version = Version::Sw;
         cfg.seed = 0xB0;
         Runtime rt(cfg);
         Interpreter::Config icfg;
         icfg.pool = rt.createPool("static", 32 << 20);
-        Interpreter interp(rt, mod, cell.plan, icfg);
-
-        rt.machine().resetAllStats();
-        rt.resetCounters();
-        const Cycles begin = rt.machine().now();
-        const std::uint64_t result = interp.call("main", {kNodes});
-        const RunStats st = bench::detail::snapshot(
-            rt, rt.machine().now() - begin, result);
-
-        if (!have_checksum) {
-            checksum = result;
-            have_checksum = true;
-        } else if (result != checksum) {
-            std::fprintf(stderr,
-                         "OUTPUT MISMATCH on fig9: variant %s\n",
-                         cell.variant);
-            ok = false;
-        }
-
-        json.beginObject();
-        json.kv("workload", "fig9");
-        json.kv("version", cell.variant);
-        json.kv("wallMs", millisSince(t0));
-        emitStats(json, st);
-        json.kv("staticTotalSites", cell.plan.totalSites);
-        json.kv("staticRemainingSites", cell.plan.remainingSites);
-        json.kv("staticRefinedSites", cell.plan.refinedSites);
-        json.kv("staticElidedSites", cell.elided);
-        json.kv("irInstructions", interp.instructionCount());
-        json.kv("irDynamicChecks", interp.dynamicCheckCount());
-        json.end();
-    }
-
-    // Persistency cell: the transactional round workload analysed by
-    // the persistency-ordering abstract interpreter. Its proof and
-    // diagnostic counts are exact functions of the module, so
-    // bench_diff hard-gates them — a lattice change that silently
-    // proves more (or less) must recapture the golden deliberately.
-    {
-        const auto t0 = SteadyClock::now();
-        const txnir::Program p = txnir::compile(/*elide=*/true);
-        json.beginObject();
-        json.kv("workload", "txn-round");
-        json.kv("version", "sw-persistency");
-        json.kv("wallMs", millisSince(t0));
-        json.kv("txStores", p.persistency.txStores);
-        json.kv("logElided", p.persistency.logElided);
-        json.kv("elidedFresh", p.persistency.elidedFresh);
-        json.kv("elidedDominated", p.persistency.elidedDominated);
-        json.kv("persistencyDiags", p.persistency.findingCount());
-        json.end();
-        if (p.persistency.diags.errorCount() != 0) {
-            std::fprintf(stderr,
-                         "FAIL static bench: txn-round has "
-                         "persistency errors:\n%s",
-                         p.persistency.diags.render().c_str());
-            ok = false;
-        }
-    }
-    json.end();
-    json.end();
-
-    const std::string path = out_dir + "/BENCH_static.json";
-    if (!json.writeFile(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    std::printf("static: %zu plans, wall %.0f ms, %s\n", cells.size(),
-                millisSince(start), path.c_str());
-    return ok;
+        Interpreter interp(rt, mod, plan.plan, icfg);
+        addStats(r, measure(rt, [&] {
+                     return interp.call("main", {kNodes});
+                 }));
+        r.exact("staticTotalSites", plan.plan.totalSites);
+        r.exact("staticRemainingSites", plan.plan.remainingSites);
+        r.exact("staticRefinedSites", plan.plan.refinedSites);
+        r.exact("staticElidedSites", plan.elided);
+        r.exact("irInstructions", interp.instructionCount());
+        r.exact("irDynamicChecks", interp.dynamicCheckCount());
+    });
+    return checksumsAgree(cells, 0, plans.size()) && ok;
 }
 
 // ----------------------------------------------------------------------
 // Fault section: the hostile-media corruption sweep, one cell per
 // retention mode. Every count is a deterministic function of the seed
 // (the persistence-event stream, the retention coin flips, and the
-// fault RNG are all seed-driven), so bench_diff compares the cells as
-// hard-error keys: a classification shifting from `repaired` to
-// `quarantined` — or worse, to `silent` — is model drift.
+// fault RNG are all seed-driven), so all are exact: a classification
+// shifting from `repaired` to `quarantined` — or worse, to `silent` —
+// is model drift.
 // ----------------------------------------------------------------------
 
 namespace faultbench
@@ -818,31 +800,24 @@ contentValid(const std::vector<std::uint8_t> &image,
 } // namespace faultbench
 
 bool
-runFault(const std::string &out_dir)
+faultSection(std::vector<Record> &cells, const CellRunner &runCells)
 {
-    // Sweeps spew (expected) torn-log warnings; keep the bench output
-    // readable.
-    setLogSink(+[](LogLevel, const std::string &) {});
-
     const CrashMode kModes[] = {
         CrashMode::DiscardUnfenced, CrashMode::RetainRandom,
         CrashMode::RetainEpoch, CrashMode::RetainBoundedStale};
+    for (CrashMode mode : kModes)
+        cells.emplace_back("fault_sweep", crashModeName(mode));
 
-    const auto start = SteadyClock::now();
-    JsonWriter json;
-    json.beginObject();
-    emitHeader(json, 1);
-    json.key("cells").beginArray();
-
-    bool ok = true;
+    // Sweeps spew (expected) torn-log warnings; keep the bench output
+    // readable.
+    setLogSink(+[](LogLevel, const std::string &) {});
     std::size_t committed = 0;
-    for (CrashMode mode : kModes) {
+    runCells(cells, [&](std::size_t i, Record &r) {
         FaultSweepConfig cfg;
-        cfg.mode = mode;
+        cfg.mode = kModes[i];
         cfg.seed = 99;
         cfg.pointStride = 61;
-        const auto t0 = SteadyClock::now();
-        const FaultSweepResult r = faultSweep(
+        const FaultSweepResult res = faultSweep(
             [&committed](CrashInjector &inj) {
                 faultbench::workload(inj, committed);
             },
@@ -851,44 +826,30 @@ runFault(const std::string &out_dir)
                 return faultbench::contentValid(image, committed);
             },
             cfg);
+        r.exact("crashPointsSampled", res.crashPointsSampled);
+        r.exact("injections", res.injections);
+        r.exact("benign", res.benign);
+        r.exact("repaired", res.repaired);
+        r.exact("quarantined", res.quarantined);
+        r.exact("rejected", res.rejected);
+        r.exact("noEffect", res.noEffect);
+        r.exact("silent", res.silent);
+        r.exact("containment", res.containment);
+    });
+    setLogSink(nullptr);
 
-        if (r.silent != 0 || r.containment != 0) {
+    bool ok = true;
+    for (const Record &r : cells) {
+        if (r.get("silent") != 0 || r.get("containment") != 0) {
             std::fprintf(stderr,
                          "FAIL fault sweep (%s): %llu silent, %llu "
                          "containment failures\n",
-                         crashModeName(mode),
-                         (unsigned long long)r.silent,
-                         (unsigned long long)r.containment);
+                         r.version,
+                         (unsigned long long)r.get("silent"),
+                         (unsigned long long)r.get("containment"));
             ok = false;
         }
-
-        json.beginObject();
-        json.kv("workload", "fault_sweep");
-        json.kv("version", crashModeName(mode));
-        json.kv("wallMs", millisSince(t0));
-        json.kv("crashPointsSampled", r.crashPointsSampled);
-        json.kv("injections", r.injections);
-        json.kv("benign", r.benign);
-        json.kv("repaired", r.repaired);
-        json.kv("quarantined", r.quarantined);
-        json.kv("rejected", r.rejected);
-        json.kv("noEffect", r.noEffect);
-        json.kv("silent", r.silent);
-        json.kv("containment", r.containment);
-        json.end();
     }
-    json.end();
-    json.end();
-    setLogSink(nullptr);
-
-    const std::string path = out_dir + "/BENCH_fault.json";
-    if (!json.writeFile(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    std::printf("fault: %zu modes, wall %.0f ms, %s\n",
-                sizeof(kModes) / sizeof(kModes[0]),
-                millisSince(start), path.c_str());
     return ok;
 }
 
@@ -900,134 +861,117 @@ runFault(const std::string &out_dir)
 // workload. The harness itself enforces the cross-tier contract —
 // identical checksum, instruction count and dynamic-check count per
 // workload — and scripts/bench_diff.py re-checks it between runs.
-// Serial and in-process: the emitted counters are plan functions of
-// the workload, independent of branch-predictor salt order.
+// The emitted counters are plan functions of the workload,
+// independent of branch-predictor salt order.
 // ----------------------------------------------------------------------
 
 bool
-runExec(const std::string &out_dir)
+execSection(std::vector<Record> &cells, const CellRunner &runCells)
 {
-    const std::uint64_t scale = benchScale();
-    const std::vector<ExecWorkload> workloads = execWorkloads(scale);
+    const std::vector<ExecWorkload> workloads =
+        execWorkloads(benchScale());
     const ExecTier kTiers[] = {ExecTier::Model, ExecTier::Native};
 
-    const auto start = SteadyClock::now();
-    JsonWriter json;
-    json.beginObject();
-    emitHeader(json, 1);
-    json.key("cells").beginArray();
+    // Compile outside the cells: a cell's wallMs times its tier only.
+    std::vector<ExecProgram> progs(workloads.size());
+    std::vector<std::string> compileErrors(workloads.size());
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        try {
+            progs[w] = compileExecProgram(workloads[w].source);
+        } catch (const std::exception &e) {
+            compileErrors[w] = std::string("compile: ") + e.what();
+        }
+        for (ExecTier t : kTiers)
+            cells.emplace_back(workloads[w].name, execTierName(t));
+    }
+
+    runCells(cells, [&](std::size_t i, Record &r) {
+        const std::size_t w = i / 2;
+        if (!compileErrors[w].empty())
+            throw std::runtime_error(compileErrors[w]);
+        const ExecRun res =
+            runExecTier(progs[w], kTiers[i % 2], workloads[w].args);
+        r.exact("checksum", res.result);
+        r.exact("dynamicChecks", res.dynamicChecks);
+        r.exact("irInstructions", res.instructions);
+        r.exact("loweredSites", res.lowered.sites);
+        r.exact("retainedGuards", res.lowered.retainedGuards);
+        r.exact("elidedGuards", res.lowered.elidedGuards);
+        r.exact("elidedSites", progs[w].elidedSites);
+        r.exact("fusedPairs", res.lowered.fusedPairs);
+    });
 
     bool ok = true;
-    for (const ExecWorkload &w : workloads) {
-        ExecProgram prog;
-        try {
-            prog = compileExecProgram(w.source);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "FAIL exec %s: compile: %s\n",
-                         w.name, e.what());
-            ok = false;
+    for (std::size_t i = 0; i < cells.size(); i += 2) {
+        const Record &model = cells[i];
+        const Record &native = cells[i + 1];
+        if (model.failed() || native.failed())
             continue;
-        }
-
-        ExecRun runs[2];
-        double wall[2] = {0, 0};
-        bool ran[2] = {false, false};
-        for (int t = 0; t < 2; ++t) {
-            const auto t0 = SteadyClock::now();
-            try {
-                runs[t] = runExecTier(prog, kTiers[t], w.args);
-                ran[t] = true;
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "FAIL exec %s/%s: %s\n", w.name,
-                             execTierName(kTiers[t]), e.what());
+        for (const char *k : {"checksum", "irInstructions", "dynamicChecks"}) {
+            if (model.get(k) != native.get(k)) {
+                std::fprintf(stderr,
+                             "TIER MISMATCH on %s: %s model %llu vs "
+                             "native %llu\n",
+                             model.workload, k,
+                             (unsigned long long)model.get(k),
+                             (unsigned long long)native.get(k));
                 ok = false;
             }
-            wall[t] = millisSince(t0);
-
-            json.beginObject();
-            json.kv("workload", w.name);
-            json.kv("version", execTierName(kTiers[t]));
-            json.kv("wallMs", wall[t]);
-            if (ran[t]) {
-                json.kv("checksum", runs[t].result);
-                json.kv("dynamicChecks", runs[t].dynamicChecks);
-                json.kv("irInstructions", runs[t].instructions);
-                json.kv("loweredSites", runs[t].lowered.sites);
-                json.kv("retainedGuards",
-                        runs[t].lowered.retainedGuards);
-                json.kv("elidedGuards", runs[t].lowered.elidedGuards);
-                json.kv("elidedSites", prog.elidedSites);
-                json.kv("fusedPairs", runs[t].lowered.fusedPairs);
-            } else {
-                json.kv("error", "tier run failed");
-            }
-            json.end();
         }
-
-        if (ran[0] && ran[1]) {
-            if (runs[0].result != runs[1].result ||
-                runs[0].instructions != runs[1].instructions ||
-                runs[0].dynamicChecks != runs[1].dynamicChecks) {
-                std::fprintf(
-                    stderr,
-                    "TIER MISMATCH on %s: model "
-                    "(%llu, %llu insts, %llu checks) vs native "
-                    "(%llu, %llu insts, %llu checks)\n",
-                    w.name, (unsigned long long)runs[0].result,
-                    (unsigned long long)runs[0].instructions,
-                    (unsigned long long)runs[0].dynamicChecks,
-                    (unsigned long long)runs[1].result,
-                    (unsigned long long)runs[1].instructions,
-                    (unsigned long long)runs[1].dynamicChecks);
-                ok = false;
-            }
-            std::printf("exec %-10s model %8.1f ms, native %7.1f ms "
-                        "(%.1fx), %llu/%llu guards retained\n",
-                        w.name, wall[0], wall[1],
-                        wall[1] > 0 ? wall[0] / wall[1] : 0.0,
-                        (unsigned long long)
-                            runs[0].lowered.retainedGuards,
-                        (unsigned long long)runs[0].lowered.sites);
-        }
+        std::printf("exec %-10s model %8.1f ms, native %7.1f ms "
+                    "(%.1fx), %llu/%llu guards retained\n",
+                    model.workload, model.wallMs, native.wallMs,
+                    native.wallMs > 0 ? model.wallMs / native.wallMs
+                                      : 0.0,
+                    (unsigned long long)model.get("retainedGuards"),
+                    (unsigned long long)model.get("loweredSites"));
     }
-    json.end();
-    json.end();
-
-    const std::string path = out_dir + "/BENCH_exec.json";
-    if (!json.writeFile(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    std::printf("exec: %zu workloads x 2 tiers, wall %.0f ms, %s\n",
-                workloads.size(), millisSince(start), path.c_str());
     return ok;
 }
 
 // ----------------------------------------------------------------------
 // Txn section: the same write-heavy transactional workload committed
-// through the undo engine, the redo engine, and redo group commit.
-// The flush/fence tallies come from the "txn" metrics group and are
-// exact functions of the fence-accounting model, so bench_diff treats
-// them as hard-error keys; commit latency is real wall time and is
-// reported (like wallMs) for information only.
+// through the undo engine, the redo engine, and redo group commit,
+// then the transactional round IR workload with and without the
+// persistency analysis's logging-elision proofs. The flush/fence
+// tallies come from the "txn" metrics group and are exact functions
+// of the fence-accounting model; commit latency is real wall time and
+// is reported (like wallMs) for information only.
 // ----------------------------------------------------------------------
 
-namespace txnbench
+/** The txn.* counter deltas @p fn causes. */
+template <typename Fn>
+std::map<std::string, std::uint64_t>
+txnCounterDelta(Fn &&fn)
 {
-
-struct TxnCell
-{
-    const char *variant;
-    EngineKind engine;
-    unsigned group;
-};
-
-} // namespace txnbench
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::instance().snapshot();
+    fn();
+    const obs::MetricsSnapshot d =
+        obs::MetricsRegistry::instance().snapshot().minus(before);
+    std::map<std::string, std::uint64_t> out;
+    for (const char *name :
+         {"txn.undoCommits", "txn.redoCommits", "txn.undoFlushes",
+          "txn.redoFlushes", "txn.undoFences", "txn.redoFences",
+          "txn.groupBatches", "txn.groupTxns", "txn.undoElidedWrites",
+          "txn.redoElidedRuns", "txn.redoJournalEntries",
+          "txn.redoJournalBytes"}) {
+        const auto it = d.counters.find(name);
+        out[name] = it == d.counters.end() ? 0 : it->second;
+    }
+    return out;
+}
 
 bool
-runTxn(const std::string &out_dir)
+txnSection(std::vector<Record> &cells, const CellRunner &runCells)
 {
-    const txnbench::TxnCell cells[] = {
+    struct EngineCell
+    {
+        const char *variant;
+        EngineKind engine;
+        unsigned group;
+    };
+    const EngineCell engines[] = {
         {"undo", EngineKind::Undo, 1},
         {"redo", EngineKind::Redo, 1},
         {"redo-group4", EngineKind::Redo, 4},
@@ -1035,248 +979,173 @@ runTxn(const std::string &out_dir)
     constexpr std::uint64_t kTxns = 96;
     constexpr std::uint64_t kWritesPerTxn = 4;
 
-    const auto start = SteadyClock::now();
-    JsonWriter json;
-    json.beginObject();
-    emitHeader(json, 1);
-    json.key("cells").beginArray();
-
-    bool ok = true;
-    std::map<std::string, std::uint64_t> fences_by_variant;
-    for (const txnbench::TxnCell &cell : cells) {
-        const auto t0 = SteadyClock::now();
-        Runtime rt(faultbench::config());
-        RuntimeScope scope(rt);
-        const PoolId pool =
-            rt.createPool("txn", 1 << 20, cell.engine);
-        rt.setGroupCommitSize(cell.group);
-        Pool &p = rt.pools().pool(pool);
-        const Bytes base = p.header().arenaStart + 64;
-
-        // Snapshot after pool creation: formatting the fresh log
-        // control block costs one flush+fence outside the model.
-        const obs::MetricsSnapshot before =
-            obs::MetricsRegistry::instance().snapshot();
-
-        for (std::uint64_t t = 0; t < kTxns; ++t) {
-            rt.beginTxn(pool);
-            for (std::uint64_t w = 0; w < kWritesPerTxn; ++w) {
-                const std::uint64_t n = t * kWritesPerTxn + w;
-                const std::uint64_t value = n * 2654435761u;
-                // 64-byte spacing: distinct journal runs, one undo
-                // record each; wraps over a 16 KiB window.
-                p.backing().write(base + 64 * (n % 256), &value,
-                                  sizeof(value));
-            }
-            rt.commitTxn();
-        }
-        rt.flushGroup(); // drain a trailing partial batch
-
-        const obs::MetricsSnapshot d =
-            obs::MetricsRegistry::instance().snapshot().minus(before);
-        const auto get = [&d](const char *name) -> std::uint64_t {
-            const auto it = d.counters.find(name);
-            return it == d.counters.end() ? 0 : it->second;
-        };
-        const std::uint64_t commits =
-            get("txn.undoCommits") + get("txn.redoCommits");
-        const std::uint64_t fences =
-            get("txn.undoFences") + get("txn.redoFences");
-        const std::uint64_t flushes =
-            get("txn.undoFlushes") + get("txn.redoFlushes");
-        fences_by_variant[cell.variant] = fences;
-
-        if (commits != kTxns) {
-            std::fprintf(stderr,
-                         "FAIL txn bench (%s): %llu commits counted, "
-                         "%llu expected\n",
-                         cell.variant, (unsigned long long)commits,
-                         (unsigned long long)kTxns);
-            ok = false;
-        }
-
-        json.beginObject();
-        json.kv("workload", "txn");
-        json.kv("version", cell.variant);
-        json.kv("wallMs", millisSince(t0));
-        json.kv("txns", kTxns);
-        json.kv("writesPerTxn", kWritesPerTxn);
-        json.kv("commits", commits);
-        json.kv("fences", fences);
-        json.kv("flushes", flushes);
-        json.kv("groupBatches", get("txn.groupBatches"));
-        json.kv("groupTxns", get("txn.groupTxns"));
-        emitHistSummary(json, "commitNs",
-                        summarize(rt.txnCommitHistogram()));
-        json.end();
-    }
-
-    // IR cells: the transactional round workload with and without
-    // the persistency analysis's logging-elision proofs, on both
-    // engines. Each cell runs through the Interpreter and both
-    // FastExecutor tiers and the engine counters (and the committed
+    // IR cells: each runs through the Interpreter and both
+    // FastExecutor tiers, and the engine counters (and the committed
     // pool image) must be bit-identical across the three — elision is
     // a property of the plan, not of who executes it. The measured
     // win: undo-ir-elided issues fewer flushes than undo-ir, and
     // redo-ir-elided journals fewer bytes than redo-ir, while the
     // committed user bytes stay byte-identical to the unelided run.
+    const txnir::Program plain = txnir::compile(/*elide=*/false);
+    const txnir::Program elided = txnir::compile(/*elide=*/true);
+    struct IrCell
     {
-        const txnir::Program plain = txnir::compile(/*elide=*/false);
-        const txnir::Program elided = txnir::compile(/*elide=*/true);
-        struct IrCell
-        {
-            const char *variant;
-            EngineKind engine;
-            const txnir::Program *prog;
-        };
-        const IrCell ircells[] = {
-            {"undo-ir", EngineKind::Undo, &plain},
-            {"undo-ir-elided", EngineKind::Undo, &elided},
-            {"redo-ir", EngineKind::Redo, &plain},
-            {"redo-ir-elided", EngineKind::Redo, &elided},
-        };
-        static const char *const kTxnCounters[] = {
-            "txn.undoCommits",     "txn.redoCommits",
-            "txn.undoFlushes",     "txn.redoFlushes",
-            "txn.undoFences",      "txn.redoFences",
-            "txn.undoElidedWrites", "txn.redoElidedRuns",
-            "txn.redoJournalEntries", "txn.redoJournalBytes",
-        };
-        std::map<std::string, std::map<std::string, std::uint64_t>>
-            by_variant;
-        std::map<EngineKind, std::vector<std::uint8_t>> user_bytes;
-        for (const IrCell &cell : ircells) {
-            const auto t0 = SteadyClock::now();
-            std::map<std::string, std::uint64_t> counters;
-            std::vector<std::uint8_t> image0;
-            for (txnir::Tier tier :
-                 {txnir::Tier::Interp, txnir::Tier::Model,
-                  txnir::Tier::Native}) {
-                const obs::MetricsSnapshot before =
-                    obs::MetricsRegistry::instance().snapshot();
-                std::vector<std::uint8_t> image;
-                const std::vector<std::uint64_t> bits = txnir::run(
-                    *cell.prog, cell.engine, tier, nullptr, nullptr,
-                    &image);
-                const obs::MetricsSnapshot d =
-                    obs::MetricsRegistry::instance()
-                        .snapshot()
-                        .minus(before);
-                std::map<std::string, std::uint64_t> cur;
-                for (const char *name : kTxnCounters) {
-                    const auto it = d.counters.find(name);
-                    cur[name] =
-                        it == d.counters.end() ? 0 : it->second;
+        const char *variant;
+        EngineKind engine;
+        const txnir::Program *prog;
+    };
+    const IrCell ircells[] = {
+        {"undo-ir", EngineKind::Undo, &plain},
+        {"undo-ir-elided", EngineKind::Undo, &elided},
+        {"redo-ir", EngineKind::Redo, &plain},
+        {"redo-ir-elided", EngineKind::Redo, &elided},
+    };
+    constexpr std::size_t kEngines = std::size(engines);
+    for (const EngineCell &c : engines)
+        cells.emplace_back("txn", c.variant);
+    for (const IrCell &c : ircells)
+        cells.emplace_back("txn-ir", c.variant);
+
+    bool ok = true;
+    std::map<EngineKind, std::vector<std::uint8_t>> userBytes;
+    const auto engineCell = [&](const EngineCell &cell, Record &r) {
+        Runtime rt(faultbench::config());
+        RuntimeScope scope(rt);
+        const PoolId pool = rt.createPool("txn", 1 << 20, cell.engine);
+        rt.setGroupCommitSize(cell.group);
+        Pool &p = rt.pools().pool(pool);
+        const Bytes base = p.header().arenaStart + 64;
+
+        // Counted after pool creation: formatting the fresh log
+        // control block costs one flush+fence outside the model.
+        const auto d = txnCounterDelta([&] {
+            for (std::uint64_t t = 0; t < kTxns; ++t) {
+                rt.beginTxn(pool);
+                for (std::uint64_t w = 0; w < kWritesPerTxn; ++w) {
+                    const std::uint64_t n = t * kWritesPerTxn + w;
+                    const std::uint64_t value = n * 2654435761u;
+                    // 64-byte spacing: distinct journal runs, one
+                    // undo record each; wraps over a 16 KiB window.
+                    p.backing().write(base + 64 * (n % 256), &value,
+                                      sizeof(value));
                 }
-                if (tier == txnir::Tier::Interp) {
-                    counters = std::move(cur);
-                    image0 = std::move(image);
-                    // The committed user data, for the plain-vs-
-                    // elided comparison below.
-                    std::vector<std::uint8_t> cells_bytes;
-                    for (const PoolOffset o : txnir::cellOffsets(bits))
-                        cells_bytes.insert(cells_bytes.end(),
-                                           image0.begin() + o,
-                                           image0.begin() + o + 64);
-                    if (user_bytes.count(cell.engine) &&
-                        user_bytes[cell.engine] != cells_bytes) {
-                        std::fprintf(stderr,
-                                     "FAIL txn bench (%s): elision "
-                                     "changed the committed user "
-                                     "bytes\n",
-                                     cell.variant);
-                        ok = false;
-                    }
-                    user_bytes[cell.engine] = std::move(cells_bytes);
-                } else if (cur != counters || image != image0) {
+                rt.commitTxn();
+            }
+            rt.flushGroup(); // drain a trailing partial batch
+        });
+        r.exact("txns", kTxns);
+        r.exact("writesPerTxn", kWritesPerTxn);
+        r.exact("commits", d.at("txn.undoCommits") + d.at("txn.redoCommits"));
+        r.exact("fences", d.at("txn.undoFences") + d.at("txn.redoFences"));
+        r.exact("flushes", d.at("txn.undoFlushes") + d.at("txn.redoFlushes"));
+        r.exact("groupBatches", d.at("txn.groupBatches"));
+        r.exact("groupTxns", d.at("txn.groupTxns"));
+        r.timing("commitNs", summarize(rt.txnCommitHistogram()));
+    };
+    const auto irCell = [&](const IrCell &cell, Record &r) {
+        std::map<std::string, std::uint64_t> counters;
+        std::vector<std::uint8_t> image0;
+        for (txnir::Tier tier : {txnir::Tier::Interp, txnir::Tier::Model,
+                                 txnir::Tier::Native}) {
+            std::vector<std::uint8_t> image;
+            std::vector<std::uint64_t> bits;
+            auto cur = txnCounterDelta([&] {
+                bits = txnir::run(*cell.prog, cell.engine, tier, nullptr,
+                                  nullptr, &image);
+            });
+            if (tier != txnir::Tier::Interp) {
+                if (cur != counters || image != image0) {
                     std::fprintf(stderr,
-                                 "TIER MISMATCH on %s: engine "
-                                 "counters or pool image diverge "
-                                 "from the Interpreter run\n",
+                                 "TIER MISMATCH on %s: engine counters "
+                                 "or pool image diverge from the "
+                                 "Interpreter run\n",
                                  cell.variant);
                     ok = false;
                 }
+                continue;
             }
-            by_variant[cell.variant] = counters;
-            const auto get = [&counters](const char *n) {
-                return counters.at(n);
-            };
-            json.beginObject();
-            json.kv("workload", "txn-ir");
-            json.kv("version", cell.variant);
-            json.kv("wallMs", millisSince(t0));
-            json.kv("txns", get("txn.undoCommits") +
-                                get("txn.redoCommits"));
-            json.kv("commits", get("txn.undoCommits") +
-                                   get("txn.redoCommits"));
-            json.kv("fences",
-                    get("txn.undoFences") + get("txn.redoFences"));
-            json.kv("flushes",
-                    get("txn.undoFlushes") + get("txn.redoFlushes"));
-            json.kv("undoElidedWrites", get("txn.undoElidedWrites"));
-            json.kv("redoElidedRuns", get("txn.redoElidedRuns"));
-            json.kv("redoJournalBytes", get("txn.redoJournalBytes"));
-            json.kv("logElided", cell.prog->persistency.logElided);
-            json.end();
+            counters = std::move(cur);
+            image0 = std::move(image);
+            // The committed user data, for the plain-vs-elided
+            // comparison.
+            std::vector<std::uint8_t> user;
+            for (const PoolOffset o : txnir::cellOffsets(bits))
+                user.insert(user.end(), image0.begin() + o,
+                            image0.begin() + o + 64);
+            if (userBytes.count(cell.engine) &&
+                userBytes[cell.engine] != user) {
+                std::fprintf(stderr,
+                             "FAIL txn bench (%s): elision changed the "
+                             "committed user bytes\n",
+                             cell.variant);
+                ok = false;
+            }
+            userBytes[cell.engine] = std::move(user);
         }
-
-        // The measured elision win, gated hard: each engine's cost
-        // shrinks in its own currency (undo: flushes; redo: journaled
-        // bytes).
-        const auto of = [&by_variant](const char *v, const char *c) {
-            return by_variant.at(v).at(c);
+        const auto get = [&counters](const char *n) {
+            return counters.at(n);
         };
-        if (!(of("undo-ir-elided", "txn.undoFlushes") <
-              of("undo-ir", "txn.undoFlushes"))) {
+        const std::uint64_t commits =
+            get("txn.undoCommits") + get("txn.redoCommits");
+        r.exact("txns", commits);
+        r.exact("commits", commits);
+        r.exact("fences", get("txn.undoFences") + get("txn.redoFences"));
+        r.exact("flushes", get("txn.undoFlushes") + get("txn.redoFlushes"));
+        r.exact("undoElidedWrites", get("txn.undoElidedWrites"));
+        r.exact("redoElidedRuns", get("txn.redoElidedRuns"));
+        r.exact("redoJournalBytes", get("txn.redoJournalBytes"));
+        r.exact("logElided", cell.prog->persistency.logElided);
+    };
+    runCells(cells, [&](std::size_t i, Record &r) {
+        if (i < kEngines)
+            engineCell(engines[i], r);
+        else
+            irCell(ircells[i - kEngines], r);
+    });
+
+    for (std::size_t i = 0; i < kEngines; ++i) {
+        if (cells[i].get("commits") != kTxns) {
             std::fprintf(stderr,
-                         "FAIL txn bench: elision did not reduce "
-                         "undo flushes (%llu vs %llu)\n",
-                         (unsigned long long)of("undo-ir-elided",
-                                                "txn.undoFlushes"),
-                         (unsigned long long)of("undo-ir",
-                                                "txn.undoFlushes"));
-            ok = false;
-        }
-        if (!(of("redo-ir-elided", "txn.redoJournalBytes") <
-              of("redo-ir", "txn.redoJournalBytes"))) {
-            std::fprintf(stderr,
-                         "FAIL txn bench: elision did not reduce "
-                         "redo journal bytes (%llu vs %llu)\n",
-                         (unsigned long long)of(
-                             "redo-ir-elided",
-                             "txn.redoJournalBytes"),
-                         (unsigned long long)of(
-                             "redo-ir", "txn.redoJournalBytes"));
+                         "FAIL txn bench (%s): %llu commits counted, "
+                         "%llu expected\n",
+                         cells[i].version,
+                         (unsigned long long)cells[i].get("commits"),
+                         (unsigned long long)kTxns);
             ok = false;
         }
     }
-    json.end();
-    json.end();
-
     // The headline invariant of the redo design: per committed
     // transaction, redo fences strictly less than undo, and group
     // commit strictly less than solo redo.
-    if (!(fences_by_variant["redo"] < fences_by_variant["undo"] &&
-          fences_by_variant["redo-group4"] <
-              fences_by_variant["redo"])) {
+    const std::uint64_t undo = cells[0].get("fences");
+    const std::uint64_t redo = cells[1].get("fences");
+    const std::uint64_t group4 = cells[2].get("fences");
+    if (!(redo < undo && group4 < redo)) {
         std::fprintf(stderr,
                      "FAIL txn bench: fence ordering violated "
                      "(undo=%llu redo=%llu group4=%llu)\n",
-                     (unsigned long long)fences_by_variant["undo"],
-                     (unsigned long long)fences_by_variant["redo"],
-                     (unsigned long long)
-                         fences_by_variant["redo-group4"]);
+                     (unsigned long long)undo, (unsigned long long)redo,
+                     (unsigned long long)group4);
         ok = false;
     }
-
-    const std::string path = out_dir + "/BENCH_txn.json";
-    if (!json.writeFile(path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    // The measured elision win, gated hard: each engine's cost shrinks
+    // in its own currency (undo: flushes; redo: journaled bytes).
+    const auto shrinks = [&](std::size_t plainIdx, const char *key,
+                             const char *what) {
+        const std::uint64_t before = cells[kEngines + plainIdx].get(key);
+        const std::uint64_t after =
+            cells[kEngines + plainIdx + 1].get(key);
+        if (after < before)
+            return true;
+        std::fprintf(stderr,
+                     "FAIL txn bench: elision did not reduce %s "
+                     "(%llu vs %llu)\n",
+                     what, (unsigned long long)after,
+                     (unsigned long long)before);
         return false;
-    }
-    std::printf("txn: %zu engines + 4 ir cells, wall %.0f ms, %s\n",
-                sizeof(cells) / sizeof(cells[0]), millisSince(start),
-                path.c_str());
+    };
+    ok = shrinks(0, "flushes", "undo flushes") && ok;
+    ok = shrinks(2, "redoJournalBytes", "redo journal bytes") && ok;
     return ok;
 }
 
@@ -1284,32 +1153,17 @@ runTxn(const std::string &out_dir)
 // Concurrent section: the sharded multi-threaded KV store — T worker
 // threads, one shard-owned Runtime each — over YCSB presets at
 // T in {1, 2, 4}. Every reported counter depends only on per-shard
-// sequential histories (never on thread timing), so bench_diff
-// hard-gates them all even though real threads run the cells. The
-// T=1 cell is additionally checked in-process against a plain
-// single-Runtime reference: any drift fails the cell, proving the
-// sharding machinery costs nothing in model terms at one thread.
-// Cells still run in forked children (pristine branch-salt state);
-// the workers live and die inside the child, so the parent stays
-// single-threaded for the next fork.
+// sequential histories (never on thread timing), so all are exact
+// even though real threads run the cells. The T=1 cell is
+// additionally checked against a plain single-Runtime reference: any
+// drift fails the cell, proving the sharding machinery costs nothing
+// in model terms at one thread. Cells run in forked children
+// (pristine branch-salt state); the workers live and die inside the
+// child, so the parent stays single-threaded for the next fork.
 // ----------------------------------------------------------------------
 
 namespace concbench
 {
-
-/** Pipe-safe record of one (preset, threads) cell. */
-struct ConcurrentStats
-{
-    std::uint64_t threads = 0;
-    std::uint64_t gets = 0;
-    std::uint64_t getHits = 0;
-    std::uint64_t sets = 0;
-    std::uint64_t checksum = 0;
-    std::uint64_t maxCycles = 0;
-    std::uint64_t sumCycles = 0;
-    std::uint64_t commits = 0;
-    HistSummary commitNs = {};
-};
 
 WorkloadSpec
 spec(char preset)
@@ -1333,33 +1187,30 @@ fleetConfig(unsigned threads)
     return cfg;
 }
 
-ConcurrentStats
-runCell(char preset, unsigned threads)
+void
+runCell(char preset, unsigned threads, Record &r)
 {
     const YcsbWorkload workload(spec(preset));
     ShardedRuntime fleet(fleetConfig(threads));
     ConcurrentKvStore store(fleet);
     const KvConcurrentResult res = store.run(workload);
 
-    ConcurrentStats st;
-    st.threads = threads;
-    st.gets = res.gets;
-    st.getHits = res.getHits;
-    st.sets = res.sets;
-    st.checksum = res.checksum;
-    st.maxCycles = res.maxCycles;
-    st.sumCycles = res.sumCycles;
-
     // Fleet-wide commit latency: the per-shard histograms merged.
     obs::HistogramData commit;
     for (unsigned s = 0; s < threads; ++s)
         commit.merge(fleet.runtime(s).txnCommitHistogram().data());
-    st.commits = commit.count;
-    st.commitNs.count = commit.count;
-    st.commitNs.p50 = commit.percentile(50);
-    st.commitNs.p90 = commit.percentile(90);
-    st.commitNs.p99 = commit.percentile(99);
-    st.commitNs.max = commit.max;
+
+    r.exact("threads", threads);
+    r.exact("gets", res.gets);
+    r.exact("getHits", res.getHits);
+    r.exact("sets", res.sets);
+    r.exact("checksum", res.checksum);
+    r.exact("maxCycles", res.maxCycles);
+    r.exact("sumCycles", res.sumCycles);
+    r.exact("commits", commit.count);
+    r.timing("commitNs", HistSummary{commit.count, commit.percentile(50),
+                                     commit.percentile(90),
+                                     commit.percentile(99), commit.max});
 
     if (threads == 1) {
         // Zero-drift gate: one plain Runtime, one HashMap, the same
@@ -1394,89 +1245,109 @@ runCell(char preset, unsigned threads)
                 rt.commitTxn();
             }
         }
-        if (ref.gets != st.gets || ref.getHits != st.getHits ||
-            ref.sets != st.sets || ref.checksum != st.checksum) {
+        if (ref.gets != res.gets || ref.getHits != res.getHits ||
+            ref.sets != res.sets || ref.checksum != res.checksum) {
             throw std::runtime_error(
                 "T=1 counter drift vs the single-runtime reference");
         }
     }
-    return st;
 }
 
 } // namespace concbench
 
 bool
-runConcurrent(const std::string &out_dir, unsigned jobs)
+concurrentSection(std::vector<Record> &cells, const CellRunner &runCells)
 {
-    struct CCell
+    const struct
     {
         char preset;
+        const char *name;
+    } kPresets[] = {{'a', "ycsb_a"}, {'b', "ycsb_b"}, {'f', "ycsb_f"}};
+    const struct
+    {
         unsigned threads;
-    };
-    std::vector<CCell> cells;
-    for (const char p : {'a', 'b', 'f'})
-        for (const unsigned t : {1u, 2u, 4u})
-            cells.push_back(CCell{p, t});
+        const char *name;
+    } kThreads[] = {{1, "t1"}, {2, "t2"}, {4, "t4"}};
 
+    for (const auto &p : kPresets)
+        for (const auto &t : kThreads)
+            cells.emplace_back(p.name, t.name);
+    runCells(cells, [&](std::size_t i, Record &r) {
+        concbench::runCell(kPresets[i / 3].preset, kThreads[i % 3].threads,
+                           r);
+    });
+    return true;
+}
+
+// ----------------------------------------------------------------------
+// Section table and main
+// ----------------------------------------------------------------------
+
+/** A section writes BENCH_<name>.json. */
+struct Section
+{
+    const char *name;
+    /** Part of the default run (no --only). */
+    bool byDefault;
+    /** One forked child per cell; else serially in-process. */
+    bool forked;
+    bool (*run)(std::vector<Record> &cells, const CellRunner &runCells);
+};
+
+// Off by default: fault, txn, exec and concurrent register lazy
+// metrics groups ("fault", "txn", "exec", per-shard groups) that the
+// default run must leave unregistered.
+const Section kSections[] = {
+    {"fig11", true, true, fig11Section},
+    {"micro", true, true, microSection},
+    {"static", true, false, staticSection},
+    {"fault", false, false, faultSection},
+    {"txn", false, false, txnSection},
+    {"exec", false, false, execSection},
+    {"concurrent", false, true, concurrentSection},
+};
+
+/** Run @p s, check it, write its file. @return false on any failure. */
+bool
+runSection(const Section &s, const std::string &outDir, unsigned jobs)
+{
+    const CellRunner runner{s.forked, s.forked ? jobs : 1};
+    std::vector<Record> cells;
     const auto start = SteadyClock::now();
-    const auto outcomes = runForked<concbench::ConcurrentStats>(
-        cells.size(), jobs, [&](std::size_t i) {
-            return concbench::runCell(cells[i].preset,
-                                      cells[i].threads);
-        });
-    const double harness_wall = millisSince(start);
+    bool ok = s.run(cells, runner);
+    const double wall = millisSince(start);
 
-    double serial_sum = 0;
-    bool ok = true;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        serial_sum += outcomes[i].wallMs;
-        if (outcomes[i].failed) {
-            std::fprintf(stderr, "FAIL concurrent ycsb_%c/t%u: %s\n",
-                         cells[i].preset, cells[i].threads,
-                         outcomes[i].error);
+    double serialSum = 0;
+    for (const Record &r : cells) {
+        serialSum += r.wallMs;
+        if (r.failed()) {
+            std::fprintf(stderr, "FAIL %s %s/%s: %s\n", s.name,
+                         r.workload, r.version, r.error);
             ok = false;
         }
     }
-
-    JsonWriter json;
-    json.beginObject();
-    emitHeader(json, jobs);
-    json.kv("harnessWallMs", harness_wall);
-    json.kv("serialSumMs", serial_sum);
-    json.key("cells").beginArray();
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const concbench::ConcurrentStats &st = outcomes[i].stats;
-        json.beginObject();
-        json.kv("workload", std::string("ycsb_") + cells[i].preset);
-        json.kv("version", "t" + std::to_string(cells[i].threads));
-        json.kv("wallMs", outcomes[i].wallMs);
-        if (outcomes[i].failed) {
-            json.kv("error", outcomes[i].error);
-        } else {
-            json.kv("threads", st.threads);
-            json.kv("gets", st.gets);
-            json.kv("getHits", st.getHits);
-            json.kv("sets", st.sets);
-            json.kv("checksum", st.checksum);
-            json.kv("maxCycles", st.maxCycles);
-            json.kv("sumCycles", st.sumCycles);
-            json.kv("commits", st.commits);
-            emitHistSummary(json, "commitNs", st.commitNs);
-        }
-        json.end();
-    }
-    json.end();
-    json.end();
-
-    const std::string path = out_dir + "/BENCH_concurrent.json";
-    if (!json.writeFile(path)) {
+    const std::string path =
+        outDir + "/BENCH_" + std::string(s.name) + ".json";
+    if (!emit(path, cells, runner.jobs, wall, serialSum)) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return false;
     }
-    std::printf("concurrent: %zu cells, wall %.0f ms "
-                "(serial sum %.0f ms), %s\n",
-                cells.size(), harness_wall, serial_sum, path.c_str());
+    std::printf("%s: %zu cells, wall %.0f ms (serial sum %.0f ms), %s\n",
+                s.name, cells.size(), wall, serialSum, path.c_str());
     return ok;
+}
+
+int
+usage(const char *argv0)
+{
+    std::string names;
+    for (const Section &s : kSections)
+        names += std::string(names.empty() ? "" : "|") + s.name;
+    std::fprintf(stderr,
+                 "usage: %s [--quick] [--jobs N] [--out DIR] "
+                 "[--only %s]\n",
+                 argv0, names.c_str());
+    return 2;
 }
 
 } // namespace
@@ -1488,23 +1359,7 @@ main(int argc, char **argv)
     if (jobs == 0)
         jobs = 1;
     std::string out_dir = ".";
-    bool fig11 = true;
-    bool micro = true;
-    bool static_sec = true;
-    // Opt-in only: the sweep exercises the fault-injection paths,
-    // which must stay untouched (and their lazy "fault" metrics group
-    // unregistered) in default runs so the existing BENCH goldens and
-    // metrics dumps stay bit-identical.
-    bool fault = false;
-    // Opt-in for the same reason: running transactions would register
-    // the lazy "txn" metrics group.
-    bool txn = false;
-    // Opt-in for the same reason: lowering registers the lazy "exec"
-    // metrics group.
-    bool exec = false;
-    // Opt-in for the same reason: shard fleets register the lazy
-    // "txn" group and prefixed per-shard groups.
-    bool concurrent = false;
+    const Section *only = nullptr;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -1513,49 +1368,25 @@ main(int argc, char **argv)
             // pinned a scale explicitly.
             setenv("UPR_BENCH_SCALE", "100", /*overwrite=*/0);
         } else if (!std::strcmp(arg, "--jobs") && i + 1 < argc) {
-            const long v = std::atol(argv[++i]);
-            if (v >= 1)
-                jobs = static_cast<unsigned>(v);
+            const char *v = argv[++i];
+            const char *end = v + std::strlen(v);
+            const auto [ptr, ec] = std::from_chars(v, end, jobs);
+            if (ec != std::errc() || ptr != end || jobs == 0)
+                return usage(argv[0]);
         } else if (!std::strcmp(arg, "--out") && i + 1 < argc) {
             out_dir = argv[++i];
-        } else if (!std::strcmp(arg, "--fig11-only")) {
-            micro = false;
-            static_sec = false;
-        } else if (!std::strcmp(arg, "--micro-only")) {
-            fig11 = false;
-            static_sec = false;
-        } else if (!std::strcmp(arg, "--static-only")) {
-            fig11 = false;
-            micro = false;
-        } else if (!std::strcmp(arg, "--fault-only")) {
-            fig11 = false;
-            micro = false;
-            static_sec = false;
-            fault = true;
-        } else if (!std::strcmp(arg, "--txn-only")) {
-            fig11 = false;
-            micro = false;
-            static_sec = false;
-            txn = true;
-        } else if (!std::strcmp(arg, "--exec-only")) {
-            fig11 = false;
-            micro = false;
-            static_sec = false;
-            exec = true;
-        } else if (!std::strcmp(arg, "--concurrent-only")) {
-            fig11 = false;
-            micro = false;
-            static_sec = false;
-            concurrent = true;
+        } else if (!std::strcmp(arg, "--only") && i + 1 < argc &&
+                   only == nullptr) {
+            // One section per process: the in-process sections would
+            // otherwise inherit each other's branch-salt state.
+            const char *name = argv[++i];
+            for (const Section &s : kSections)
+                if (!std::strcmp(s.name, name))
+                    only = &s;
+            if (only == nullptr)
+                return usage(argv[0]);
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--jobs N] [--out DIR] "
-                         "[--fig11-only | --micro-only | "
-                         "--static-only | --fault-only | "
-                         "--txn-only | --exec-only | "
-                         "--concurrent-only]\n",
-                         argv[0]);
-            return 2;
+            return usage(argv[0]);
         }
     }
 
@@ -1564,24 +1395,13 @@ main(int argc, char **argv)
                 UPR_GIT_REV);
 
     bool ok = true;
-    if (fig11)
-        ok = runFig11(out_dir, jobs) && ok;
-    if (micro)
-        ok = runMicro(out_dir, jobs) && ok;
-    if (static_sec)
-        ok = runStatic(out_dir) && ok;
-    if (fault)
-        ok = runFault(out_dir) && ok;
-    if (txn)
-        ok = runTxn(out_dir) && ok;
-    if (exec)
-        ok = runExec(out_dir) && ok;
-    if (concurrent)
-        ok = runConcurrent(out_dir, jobs) && ok;
+    for (const Section &s : kSections)
+        if (only != nullptr ? &s == only : s.byDefault)
+            ok = runSection(s, out_dir, jobs) && ok;
 
     // With UPR_OBS_TRACE set, dump the harness process's event ring
-    // (the serial static section and any in-process setup; forked
-    // cells have their own rings that die with them).
+    // (the serial sections and any in-process setup; forked cells
+    // have their own rings that die with them).
     if (obs::traceEnabled()) {
         const std::string path = out_dir + "/BENCH_trace.json";
         std::ofstream trace(path);

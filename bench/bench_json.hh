@@ -94,36 +94,12 @@ class JsonWriter
     }
 
     JsonWriter &
-    value(std::int64_t v)
-    {
-        element();
-        char buf[24];
-        std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-        out_ += buf;
-        return *this;
-    }
-
-    JsonWriter &
-    value(int v)
-    {
-        return value(static_cast<std::int64_t>(v));
-    }
-
-    JsonWriter &
     value(double v)
     {
         element();
         char buf[40];
         std::snprintf(buf, sizeof(buf), "%.17g", v);
         out_ += buf;
-        return *this;
-    }
-
-    JsonWriter &
-    value(bool v)
-    {
-        element();
-        out_ += v ? "true" : "false";
         return *this;
     }
 

@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Compare two bench_harness JSON outputs (BENCH_fig11.json /
-BENCH_micro.json).
+"""Compare two bench_harness JSON outputs (any BENCH_*.json).
 
 Two different contracts are enforced:
 
-* Simulated model counters (cycles, checksum, memAccesses, ...) are
-  part of the model's behaviour. Any drift between the two files is a
+* Exact values are part of the model's behaviour: simulated counters
+  (cycles, checksum, memAccesses, ...), flush/fence tallies, analysis
+  proof counts. Each file lists them in its header's "exactKeys"
+  ("group.name" for a value nested in object "group"); every listed
+  key of every cell must match. Any drift between the two files is a
   HARD ERROR (exit 2): either the model changed on purpose (then the
   goldens must be recaptured and the change called out) or a
-  "host-side-only" optimization leaked into the model.
+  "host-side-only" optimization leaked into the model. So is a file
+  without "exactKeys", or two files whose lists differ.
 
 * Wall-clock times are host-side and noisy. A cell or harness total
   regressing by more than the threshold (default 10%) is FLAGGED
@@ -24,71 +27,6 @@ Usage: bench_diff.py [--wall-threshold PCT] old.json new.json
 import argparse
 import json
 import sys
-
-# Every simulated counter a cell can carry; all must match exactly.
-MODEL_KEYS = (
-    "cycles", "checksum", "memAccesses", "storePs",
-    "polbAccesses", "polbWalks", "valbAccesses", "valbWalks",
-    "branches", "branchMisses", "dynamicChecks", "absToRel",
-    "relToAbs", "reuseHits",
-)
-
-# Histogram summaries under a cell's "metrics" object that are
-# simulated-cycle based and therefore deterministic. Only compared
-# when both files carry the section (pre-observability baselines
-# don't).
-METRICS_KEYS = ("checkCycles", "ptrAssignCycles")
-
-# Fault-sweep cells (BENCH_fault.json): every outcome tally is
-# seed-driven and deterministic, so any drift is a hard error just
-# like the model counters. wallMs stays host-side/noisy as usual.
-FAULT_KEYS = (
-    "crashPointsSampled", "injections", "benign", "repaired",
-    "quarantined", "rejected", "noEffect", "silent", "containment",
-)
-
-# Txn-engine cells (BENCH_txn.json): the flush/fence tallies are exact
-# functions of the fence-accounting model (docs/CRASH_CONSISTENCY.md),
-# so counter drift is a hard error — an ordering-protocol change must
-# recapture the golden deliberately. commitNs is real wall time and is
-# not compared.
-TXN_KEYS = (
-    "txns", "writesPerTxn", "commits", "fences", "flushes",
-    "groupBatches", "groupTxns",
-    # txn-ir cells: the proof-driven logging-elision win. Counts are
-    # exact functions of the plan and the fence-accounting model.
-    "undoElidedWrites", "redoElidedRuns", "redoJournalBytes",
-    "logElided",
-)
-
-# Static-analysis cells (BENCH_static.json): check-insertion site
-# counts and the persistency analysis's proof/diagnostic tallies are
-# exact functions of the module — any drift means the analysis
-# changed, and the golden must be recaptured deliberately.
-STATIC_KEYS = (
-    "staticTotalSites", "staticRemainingSites", "staticRefinedSites",
-    "staticElidedSites", "irInstructions", "irDynamicChecks",
-    "txStores", "elidedFresh", "elidedDominated", "persistencyDiags",
-)
-
-# Concurrent cells (BENCH_concurrent.json): the sharded KV store's
-# results depend only on per-shard sequential histories, so every
-# tally — including the makespan/total in *modeled* cycles — is
-# schedule-independent and drift is a hard error. commitNs is real
-# wall time and is not compared.
-CONCURRENT_KEYS = (
-    "threads", "gets", "getHits", "sets", "maxCycles", "sumCycles",
-    "commits",
-)
-
-# Execution-tier cells (BENCH_exec.json): lowering statistics and
-# per-tier counters are exact functions of the module and check plan,
-# so drift is a hard error. (checksum / dynamicChecks are already in
-# MODEL_KEYS.) wallMs stays host-side/noisy as usual.
-EXEC_KEYS = (
-    "irInstructions", "loweredSites", "retainedGuards",
-    "elidedGuards", "elidedSites", "fusedPairs",
-)
 
 # Cross-tier contract inside one BENCH_exec.json: for each workload,
 # the model and native cells must agree on these exactly — a Native
@@ -131,6 +69,15 @@ def index_cells(doc, path):
                      f"{key[0]} x {key[1]}")
         cells[key] = cell
     return cells
+
+
+def lookup(cell, key):
+    """The value at dotted path `key` in `cell`, or None."""
+    for part in key.split("."):
+        if not isinstance(cell, dict):
+            return None
+        cell = cell.get(part)
+    return cell
 
 
 def fmt_cell(key):
@@ -186,6 +133,19 @@ def main():
                  f"({old_doc.get('benchScale')} vs "
                  f"{new_doc.get('benchScale')}): runs not comparable")
 
+    for path, doc in ((args.old, old_doc), (args.new, new_doc)):
+        if not isinstance(doc.get("exactKeys"), list):
+            print(f"bench_diff: {path}: no exactKeys header "
+                  "(recapture it with the current bench_harness)",
+                  file=sys.stderr)
+            return 2
+    exact_keys = old_doc["exactKeys"]
+    if new_doc["exactKeys"] != exact_keys:
+        print(f"bench_diff: exactKeys differ ({exact_keys} vs "
+              f"{new_doc['exactKeys']}): runs not comparable",
+              file=sys.stderr)
+        return 2
+
     old_cells = index_cells(old_doc, args.old)
     new_cells = index_cells(new_doc, args.new)
 
@@ -210,23 +170,10 @@ def main():
         if "error" in old or "error" in new:
             continue
 
-        for k in (MODEL_KEYS + FAULT_KEYS + TXN_KEYS + EXEC_KEYS +
-                  STATIC_KEYS + CONCURRENT_KEYS):
-            if old.get(k) != new.get(k):
-                drift.append(
-                    f"{fmt_cell(key)}: {k} {old.get(k)} -> "
-                    f"{new.get(k)}")
-
-        om, nm = old.get("metrics"), new.get("metrics")
-        if om is not None and nm is not None:
-            for k in METRICS_KEYS:
-                if om.get(k) != nm.get(k):
-                    drift.append(
-                        f"{fmt_cell(key)}: metrics.{k} {om.get(k)} "
-                        f"-> {nm.get(k)}")
-        elif (om is None) != (nm is None):
-            notes.append(f"{fmt_cell(key)}: metrics section only in "
-                         f"{'new' if om is None else 'old'} file")
+        for k in exact_keys:
+            ov, nv = lookup(old, k), lookup(new, k)
+            if ov != nv:
+                drift.append(f"{fmt_cell(key)}: {k} {ov} -> {nv}")
 
         ow, nw = old.get("wallMs"), new.get("wallMs")
         if ow and nw and ow > 0:

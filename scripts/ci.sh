@@ -15,7 +15,8 @@
 #      is excluded there — it has no cross-thread races to find and
 #      TSan multiplies its wall time);
 #   3. clang-tidy over the compiler subsystem, if available;
-#   4. observability overhead gate: with event tracing compiled in,
+#   4. every bench section's exact counters vs its BENCH_*.json golden;
+#   5. observability overhead gate: with event tracing compiled in,
 #      a traced run and an untraced run of the quick bench must agree
 #      on every simulated counter (tracing observes the model, never
 #      perturbs it) and stay within 2% wall of each other.
@@ -61,56 +62,28 @@ done
 echo "persistency: $(ls tests/ir_corpus/*.ir | wc -l) fixtures," \
      "exit codes match"
 
-echo "==> tier 4: hostile-media fault sweep vs golden"
-FAULT_OUT=$(mktemp -d)
-build/bench/bench_harness --fault-only --out "$FAULT_OUT" > /dev/null
-python3 scripts/bench_diff.py --wall-threshold 100000 \
-    BENCH_fault.json "$FAULT_OUT/BENCH_fault.json"
-rm -rf "$FAULT_OUT"
-
-echo "==> tier 4t: txn-engine fence accounting vs golden"
-TXN_OUT=$(mktemp -d)
-build/bench/bench_harness --txn-only --out "$TXN_OUT" > /dev/null
-python3 scripts/bench_diff.py --wall-threshold 100000 \
-    BENCH_txn.json "$TXN_OUT/BENCH_txn.json"
-rm -rf "$TXN_OUT"
-
-echo "==> tier 4x: execution-tier invariance + speedup vs golden"
-EXEC_OUT=$(mktemp -d)
-build/bench/bench_harness --exec-only --out "$EXEC_OUT" > /dev/null
-python3 scripts/bench_diff.py --wall-threshold 100000 \
-    BENCH_exec.json "$EXEC_OUT/BENCH_exec.json"
-rm -rf "$EXEC_OUT"
-
-echo "==> tier 4c: concurrent KV store schedule independence vs golden"
-CONC_OUT=$(mktemp -d)
-build/bench/bench_harness --concurrent-only --out "$CONC_OUT" > /dev/null
-python3 scripts/bench_diff.py --wall-threshold 100000 \
-    BENCH_concurrent.json "$CONC_OUT/BENCH_concurrent.json"
-rm -rf "$CONC_OUT"
-
-# The host-side lookup structures every simulated access probes (cache
-# and TLB arrays, POLB, the pending-storeP table) must not move one
-# modeled cycle: the full-scale fig11 grid and the micro-op cells must
-# match their goldens counter for counter (full scale, so a stray
-# UPR_BENCH_SCALE is dropped). Wall time is not gated.
-echo "==> tier 4f: fig11 grid + micro-op counters vs golden"
-FIG_OUT=$(mktemp -d)
-env -u UPR_BENCH_SCALE build/bench/bench_harness --fig11-only \
-    --jobs "$JOBS" --out "$FIG_OUT" > /dev/null
-env -u UPR_BENCH_SCALE build/bench/bench_harness --micro-only \
-    --out "$FIG_OUT" > /dev/null
-for f in BENCH_fig11.json BENCH_micro.json; do
+# Every bench section's exact keys vs its golden, at full scale (a
+# stray UPR_BENCH_SCALE is dropped): fault-sweep tallies, txn-engine
+# fence accounting, execution-tier invariance and speedup, the
+# concurrent KV store's schedule independence, static-analysis
+# counts, and the fig11 grid + micro-op counters (the host-side
+# lookup structures every simulated access probes must not move one
+# modeled cycle). Wall time is not gated.
+echo "==> tier 4: every bench section vs its golden"
+BENCH_OUT=$(mktemp -d)
+for s in fault txn exec concurrent static fig11 micro; do
+    env -u UPR_BENCH_SCALE build/bench/bench_harness --only "$s" \
+        --jobs "$JOBS" --out "$BENCH_OUT" > /dev/null
     python3 scripts/bench_diff.py --wall-threshold 100000 \
-        "$f" "$FIG_OUT/$f"
+        "BENCH_$s.json" "$BENCH_OUT/BENCH_$s.json"
 done
-rm -rf "$FIG_OUT"
+rm -rf "$BENCH_OUT"
 
 echo "==> tier 5: observability overhead gate"
 GATE_OUT=$(mktemp -d)
 trap 'rm -rf "$GATE_OUT"' EXIT
 
-# 4a. Zero counter drift: a traced quick run and an untraced quick run
+# 5a. Zero counter drift: a traced quick run and an untraced quick run
 # must agree on every simulated counter and metrics summary (tracing
 # observes the model, never changes it). Wall is not gated here --
 # quick-scale cells finish in ~1 ms, where wall time is pure noise --
@@ -126,7 +99,7 @@ for f in BENCH_fig11.json BENCH_micro.json BENCH_static.json; do
         "$GATE_OUT/off/$f" "$GATE_OUT/on/$f"
 done
 
-# 4b. <2% overhead: full fig11 with tracing *enabled* must cost no
+# 5b. <2% overhead: full fig11 with tracing *enabled* must cost no
 # more than 2% (median) over tracing disabled. Enabled does strictly
 # more work than the disabled no-op branch, so passing this bounds
 # the disabled overhead too. Methodology per docs/PERFORMANCE.md:
@@ -147,7 +120,7 @@ def cpu_of_run(out, trace):
         env["UPR_OBS_TRACE"] = "1"
     t0 = os.times()
     subprocess.run(
-        ["build/bench/bench_harness", "--fig11-only",
+        ["build/bench/bench_harness", "--only", "fig11",
          "--jobs", jobs, "--out", out],
         check=True, stdout=subprocess.DEVNULL, env=env)
     t1 = os.times()

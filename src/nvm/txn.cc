@@ -391,4 +391,13 @@ Txn::canonicalizeHeap(Pool &pool)
     return true;
 }
 
+TxnStats::TxnStats(ProcessWide)
+    // The temporary clears the registration prefix until the
+    // delegated construction, which registers the group, completes.
+    : TxnStats(obs::ScopedRegistrationPrefix(
+                   obs::ScopedRegistrationPrefix::Unprefixed{}),
+               PrivateTag{})
+{
+}
+
 } // namespace upr

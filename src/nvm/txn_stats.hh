@@ -11,11 +11,10 @@
  * coalesced runs pays 4; a group-commit batch of B transactions pays
  * 4 for the whole batch.
  *
- * Header-only singleton for the same reason as FaultStats: emitters
- * live in upr_nvm (txn.cc, redo_log.cc) and consumers in tests and
- * bench, and lazy construction keeps the group out of the metrics
- * registry — and out of every existing golden — until a transaction
- * actually runs.
+ * Emitters live in upr_nvm (txn.cc, redo_log.cc) and consumers in
+ * tests and bench. The singleton is built lazily, which keeps the
+ * group out of the metrics registry — and out of every existing
+ * golden — until a transaction actually runs.
  */
 
 #ifndef UPR_NVM_TXN_STATS_HH
@@ -47,7 +46,7 @@ class TxnStats
     static TxnStats &
     instance()
     {
-        static TxnStats s;
+        static TxnStats s{ProcessWide{}};
         return s;
     }
 
@@ -101,6 +100,25 @@ class TxnStats
     struct PrivateTag
     {
     };
+
+    struct ProcessWide
+    {
+    };
+
+    /**
+     * The process-wide instance is never a shard's: its group
+     * registers as "txn" even when the first instance() call comes
+     * from inside a shard's ScopedRegistrationPrefix (a fleet's
+     * createPool formats each log through it). Out of line (txn.cc)
+     * so instance() stays small enough to inline.
+     */
+    explicit TxnStats(ProcessWide);
+
+    TxnStats(const obs::ScopedRegistrationPrefix & /*unprefixed*/,
+             PrivateTag tag)
+        : TxnStats(tag)
+    {
+    }
 
     explicit TxnStats(PrivateTag) : group_("txn"), registration_(group_)
     {

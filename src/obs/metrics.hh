@@ -143,6 +143,19 @@ class ScopedRegistrationPrefix
         detail::registrationPrefixSlot() = previous_ + prefix;
     }
 
+    /** Tag: clear the prefix for the scope instead of extending it. */
+    struct Unprefixed
+    {
+    };
+
+    /** Register unprefixed inside the scope, whatever encloses it
+     * (process-wide singletons first touched from a shard's scope). */
+    explicit ScopedRegistrationPrefix(Unprefixed)
+        : previous_(detail::registrationPrefixSlot())
+    {
+        detail::registrationPrefixSlot().clear();
+    }
+
     ~ScopedRegistrationPrefix()
     {
         detail::registrationPrefixSlot() = previous_;

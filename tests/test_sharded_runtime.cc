@@ -41,6 +41,28 @@ faultKindOf(const std::function<void()> &fn)
 
 } // namespace
 
+// First in the file so that, even when the whole binary runs in one
+// process, the fleet below is the process's first TxnStats use: the
+// process-wide singleton is then built inside shard 0's registration
+// prefix (createPool formats the log through it).
+TEST(ShardedRuntime, ProcessWideTxnGroupRegistersUnprefixed)
+{
+    ShardedRuntime::Config cfg;
+    cfg.shards = 2;
+    cfg.runtime = makeConfig();
+    ShardedRuntime fleet(cfg);
+
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::instance().snapshot();
+    EXPECT_EQ(snap.counters.count("txn.undoCommits"), 1u);
+    EXPECT_EQ(snap.counters.count("shard0.txn.undoCommits"), 1u);
+    EXPECT_EQ(snap.counters.count("shard1.txn.undoCommits"), 1u);
+    for (const auto &[name, value] : snap.counters)
+        EXPECT_EQ(name.find('#'), std::string::npos) << name;
+    for (const auto &[name, data] : snap.histograms)
+        EXPECT_EQ(name.find('#'), std::string::npos) << name;
+}
+
 TEST(RuntimeBinding, UnboundThreadFaultsTypedNotNullDeref)
 {
     // A worker thread that forgot to bind gets a catchable typed
