@@ -44,15 +44,20 @@ EXEC_SPEEDUP_TARGET = 8.0
 EXEC_SPEEDUP_MIN_WALL_MS = 5.0
 
 
+def usage_error(msg):
+    """Exit 2: the inputs cannot be compared at all."""
+    print(f"bench_diff: {msg}", file=sys.stderr)
+    sys.exit(2)
+
+
 def load(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, ValueError) as e:
-        sys.exit(f"bench_diff: cannot read {path}: {e}")
-    if "cells" not in doc:
-        sys.exit(f"bench_diff: {path}: not a bench_harness file "
-                 "(no 'cells')")
+        usage_error(f"cannot read {path}: {e}")
+    if not isinstance(doc, dict) or "cells" not in doc:
+        usage_error(f"{path}: not a bench_harness file (no 'cells')")
     return doc
 
 
@@ -65,8 +70,7 @@ def index_cells(doc, path):
     for cell in doc["cells"]:
         key = cell_key(cell)
         if key in cells:
-            sys.exit(f"bench_diff: {path}: duplicate cell "
-                     f"{key[0]} x {key[1]}")
+            usage_error(f"{path}: duplicate cell {key[0]} x {key[1]}")
         cells[key] = cell
     return cells
 
@@ -129,22 +133,18 @@ def main():
     new_doc = load(args.new)
 
     if old_doc.get("benchScale") != new_doc.get("benchScale"):
-        sys.exit(f"bench_diff: benchScale differs "
-                 f"({old_doc.get('benchScale')} vs "
-                 f"{new_doc.get('benchScale')}): runs not comparable")
+        usage_error(f"benchScale differs ({old_doc.get('benchScale')} "
+                    f"vs {new_doc.get('benchScale')}): runs not "
+                    "comparable")
 
     for path, doc in ((args.old, old_doc), (args.new, new_doc)):
         if not isinstance(doc.get("exactKeys"), list):
-            print(f"bench_diff: {path}: no exactKeys header "
-                  "(recapture it with the current bench_harness)",
-                  file=sys.stderr)
-            return 2
+            usage_error(f"{path}: no exactKeys header (recapture it "
+                        "with the current bench_harness)")
     exact_keys = old_doc["exactKeys"]
     if new_doc["exactKeys"] != exact_keys:
-        print(f"bench_diff: exactKeys differ ({exact_keys} vs "
-              f"{new_doc['exactKeys']}): runs not comparable",
-              file=sys.stderr)
-        return 2
+        usage_error(f"exactKeys differ ({exact_keys} vs "
+                    f"{new_doc['exactKeys']}): runs not comparable")
 
     old_cells = index_cells(old_doc, args.old)
     new_cells = index_cells(new_doc, args.new)

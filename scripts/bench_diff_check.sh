@@ -2,8 +2,10 @@
 # bench_diff exit-code contract over a live bench document: identical
 # files -> 0, any changed exact key -> 2 (whatever its name), a wall
 # regression -> 1, a missing or mismatched exactKeys header -> 2, a
-# model/native exec tier mismatch -> 2; and bench_harness's own CLI
-# rejections (exit 2 with usage).
+# model/native exec tier mismatch -> 2, inputs that cannot be compared
+# (unreadable, not a harness file, duplicate cell, benchScale
+# mismatch) -> 2; and bench_harness's own CLI rejections (exit 2 with
+# usage).
 #
 #   bench_diff_check.sh <path-to-bench_harness>
 set -u
@@ -76,6 +78,15 @@ expect 2 "no exactKeys (old)" nokeys.json $B
 
 edit $B fewer.json 'd["exactKeys"].remove("reuseHits")'
 expect 2 "mismatched exactKeys" $B fewer.json
+
+# Inputs that cannot be compared are usage errors, never a wall flag.
+expect 2 "unreadable file" $B missing.json
+echo '{"schema": 2}' > nocells.json
+expect 2 "not a harness file" $B nocells.json
+edit $B dup.json 'd["cells"].append(dict(d["cells"][0]))'
+expect 2 "duplicate cell" $B dup.json
+edit $B scale.json 'd["benchScale"] = d["benchScale"] + 1'
+expect 2 "benchScale mismatch" $B scale.json
 
 # Exec tier contract: model and native cells of one workload must
 # agree on checksum, dynamicChecks and irInstructions.

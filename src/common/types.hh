@@ -25,6 +25,12 @@ using PtrBits = std::uint64_t;
 /** Identifier of a persistent memory object pool (31 bits used). */
 using PoolId = std::uint32_t;
 
+/**
+ * Largest pool ID: a relative pointer stores the ID in 31 bits. Valid
+ * IDs are 1..kMaxPoolId; 0 is reserved.
+ */
+constexpr PoolId kMaxPoolId = (1U << 31) - 1;
+
 /** Byte offset within a persistent pool (32 bits used). */
 using PoolOffset = std::uint32_t;
 

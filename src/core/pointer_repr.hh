@@ -53,8 +53,8 @@ struct PtrRepr
     static constexpr unsigned kPoolIdHi = 62;
     static constexpr unsigned kPoolIdLo = 32;
     static constexpr unsigned kOffsetHi = 31;
-    /** Largest encodable pool ID (31 bits). */
-    static constexpr PoolId kMaxPoolId = (1U << 31) - 1;
+    static_assert(kMaxPoolId == (1ULL << (kPoolIdHi - kPoolIdLo + 1)) - 1,
+                  "kMaxPoolId must fill the pool-ID field exactly");
 
     /** determineY: classify the 64 bits of a pointer value. */
     static PtrForm

@@ -97,8 +97,8 @@ Runtime::pmallocBits(PoolId pool, Bytes n)
         return PtrRepr::fromVa(heap_.allocate(n));
     }
     const SimAddr va = pools_.pmalloc(pool, n);
-    auto [id, off] = pools_.va2ra(va);
-    return PtrRepr::makeRelative(id, off);
+    return PtrRepr::makeRelative(
+        pool, static_cast<PoolOffset>(va - pools_.baseOf(pool)));
 }
 
 void

@@ -58,6 +58,8 @@ struct Layout
  * predecessor (the heap, or the one attached pool), making the common
  * case a single bounds compare. Mappings change rarely (pool
  * attach/detach, heap growth), so O(n) insert/erase is irrelevant.
+ * A region mapping a pool carries the pool's ID as its owner tag, so
+ * this is also the one VA -> pool index (PoolManager::va2ra).
  */
 class AddressSpace
 {
@@ -71,10 +73,11 @@ class AddressSpace
      * @p backing_off. The backing must already be large enough.
      *
      * @param name diagnostic region name (e.g. "pool:7", "heap")
+     * @param owner ID of the pool mapped here (0 = not a pool)
      */
     void
     map(SimAddr base, Bytes size, Backing &backing, Bytes backing_off,
-        std::string name)
+        std::string name, PoolId owner = 0)
     {
         upr_assert_msg(size > 0, "empty mapping '%s'", name.c_str());
         upr_assert_msg(base + size <= Layout::kVaEnd,
@@ -89,7 +92,7 @@ class AddressSpace
         }
         regions_.insert(lowerBound(base),
                         Region{base, size, &backing, backing_off,
-                               std::move(name)});
+                               std::move(name), owner});
         mru_ = kNoMru; // insertion shifts indices
     }
 
@@ -217,6 +220,24 @@ class AddressSpace
         return r ? r->name : std::string();
     }
 
+    /** The pool a mapped address belongs to (pool 0 = none). */
+    struct PoolRegion
+    {
+        PoolId pool = 0;
+        SimAddr base = 0;
+    };
+
+    /**
+     * Owner tag and base of the region containing @p addr; pool 0
+     * when @p addr is unmapped or its region is not a pool.
+     */
+    PoolRegion
+    poolRegion(SimAddr addr) const
+    {
+        const Region *r = find(addr);
+        return r ? PoolRegion{r->owner, r->base} : PoolRegion{};
+    }
+
   private:
     struct Region
     {
@@ -225,6 +246,7 @@ class AddressSpace
         Backing *backing;
         Bytes backingOff;
         std::string name;
+        PoolId owner;
     };
 
     static constexpr std::size_t kNoMru = ~std::size_t{0};

@@ -28,10 +28,42 @@ poolIdentCrc(const PoolHeader &h)
     return crc;
 }
 
+std::string
+poolHeaderProblem(const PoolHeader &h, Bytes image_size)
+{
+    if (h.magic != PoolHeader::kMagic)
+        return "bad magic";
+    if (h.version != PoolHeader::kVersion)
+        return "unsupported version " + std::to_string(h.version) +
+               ", expected " + std::to_string(PoolHeader::kVersion);
+    if (h.size != image_size)
+        return "size field disagrees with image length";
+    if (h.size > Pool::kMaxSize)
+        return "impossible size";
+    // 0 is reserved, and a relative pointer holds only 31 bits of ID:
+    // a larger one could never be stored into the pool's own objects.
+    if (h.poolId == 0 || h.poolId > kMaxPoolId)
+        return "impossible pool id " + std::to_string(h.poolId);
+    // Geometry: header, then log area, then 16-byte-aligned arena,
+    // all strictly inside the pool. Every later module (allocator,
+    // undo log) trusts these bounds, so garbage here would otherwise
+    // turn into wild offset arithmetic.
+    if (h.logStart < sizeof(PoolHeader) || h.logSize < 64 ||
+        h.logStart + h.logSize < h.logStart ||
+        h.logStart + h.logSize > h.arenaStart ||
+        h.arenaStart % 16 != 0 || h.arenaStart >= h.size)
+        return "corrupt log/arena geometry";
+    if (h.engine > static_cast<std::uint32_t>(EngineKind::Redo))
+        return "unknown transaction engine " + std::to_string(h.engine);
+    return "";
+}
+
 Pool::Pool(PoolId id, std::string name, Bytes size, EngineKind engine)
     : name_(std::move(name)), backing_(size)
 {
-    upr_assert_msg(id != 0, "pool id 0 is reserved");
+    upr_assert_msg(id != 0 && id <= kMaxPoolId,
+                   "pool id %u: 0 is reserved, IDs end at kMaxPoolId",
+                   id);
     if (size > kMaxSize) {
         throw Fault(FaultKind::BadUsage,
                     "pool size exceeds 32-bit offset range");
@@ -77,47 +109,16 @@ Pool::Pool(std::string name, Backing image)
                     "image '" + name_ + "' smaller than a pool header");
     }
     const PoolHeader h = header();
-    if (h.magic != PoolHeader::kMagic) {
+    const std::string problem = poolHeaderProblem(h, backing_.size());
+    if (!problem.empty()) {
         throw Fault(FaultKind::CorruptPool,
-                    "image '" + name_ + "' has bad magic");
-    }
-    if (h.version != PoolHeader::kVersion) {
-        throw Fault(FaultKind::CorruptPool,
-                    "image '" + name_ + "' has version " +
-                    std::to_string(h.version) + ", expected " +
-                    std::to_string(PoolHeader::kVersion));
-    }
-    if (h.size != backing_.size()) {
-        throw Fault(FaultKind::CorruptPool,
-                    "image '" + name_ + "' size field disagrees with "
-                    "image length");
-    }
-    if (h.size > kMaxSize || h.poolId == 0) {
-        throw Fault(FaultKind::CorruptPool,
-                    "image '" + name_ + "' has impossible size or id");
-    }
-    // Geometry: header, then log area, then 16-byte-aligned arena,
-    // all strictly inside the pool. Every later module (allocator,
-    // undo log) trusts these bounds, so garbage here would otherwise
-    // turn into wild offset arithmetic.
-    if (h.logStart < sizeof(PoolHeader) || h.logSize < 64 ||
-        h.logStart + h.logSize < h.logStart ||
-        h.logStart + h.logSize > h.arenaStart ||
-        h.arenaStart % 16 != 0 || h.arenaStart >= h.size) {
-        throw Fault(FaultKind::CorruptPool,
-                    "image '" + name_ + "' has corrupt log/arena "
-                    "geometry");
+                    "image '" + name_ + "': " + problem);
     }
     if (h.rootOff >= h.size || h.freeHead >= h.size ||
         h.usedBytes > h.size) {
         throw Fault(FaultKind::CorruptPool,
                     "image '" + name_ + "' has out-of-range root, "
                     "free-list, or usage fields");
-    }
-    if (h.engine > static_cast<std::uint32_t>(EngineKind::Redo)) {
-        throw Fault(FaultKind::CorruptPool,
-                    "image '" + name_ + "' names unknown transaction "
-                    "engine " + std::to_string(h.engine));
     }
     if (h.identCrc != poolIdentCrc(h)) {
         throw Fault(FaultKind::CorruptPool,

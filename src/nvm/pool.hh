@@ -104,6 +104,14 @@ static_assert(sizeof(PoolHeader) == 80);
 std::uint32_t poolIdentCrc(const PoolHeader &h);
 
 /**
+ * Why the identity and geometry fields of @p h cannot describe a pool
+ * image of @p image_size bytes, or "" when they can: magic, version,
+ * size, pool ID (1..kMaxPoolId), log/arena geometry and engine. The
+ * one header check behind both the adopt constructor and checkPool.
+ */
+std::string poolHeaderProblem(const PoolHeader &h, Bytes image_size);
+
+/**
  * The in-memory handle for one pool. Attachment state (the virtual
  * address it is currently mapped at, if any) is tracked by PoolManager,
  * not here: a Pool object persists across detach/attach cycles.
@@ -131,7 +139,8 @@ class Pool
 
     /**
      * Adopt an existing image (reopen path). The header is fully
-     * validated — magic, version, size, and log/arena geometry.
+     * validated: poolHeaderProblem, the mutable fields' ranges and
+     * the identity CRC.
      * @throws Fault{CorruptPool} if any header field is implausible
      */
     Pool(std::string name, Backing image);

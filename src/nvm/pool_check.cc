@@ -32,31 +32,6 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-/**
- * Mirror of the Pool adopt constructor's geometry checks, as a
- * predicate: "" when the identity fields describe a usable layout.
- */
-std::string
-geometryProblem(const PoolHeader &h, Bytes image_size)
-{
-    if (h.magic != PoolHeader::kMagic)
-        return "bad magic";
-    if (h.version != PoolHeader::kVersion)
-        return "unsupported version " + std::to_string(h.version);
-    if (h.size != image_size)
-        return "size field disagrees with image length";
-    if (h.size > Pool::kMaxSize || h.poolId == 0)
-        return "impossible size or pool id";
-    if (h.logStart < sizeof(PoolHeader) || h.logSize < 64 ||
-        h.logStart + h.logSize < h.logStart ||
-        h.logStart + h.logSize > h.arenaStart ||
-        h.arenaStart % 16 != 0 || h.arenaStart >= h.size)
-        return "corrupt log/arena geometry";
-    if (h.engine > static_cast<std::uint32_t>(EngineKind::Redo))
-        return "unknown transaction engine " + std::to_string(h.engine);
-    return "";
-}
-
 void
 addIssue(CheckReport &rep, const char *component, std::string what,
          bool repairable, bool repaired)
@@ -67,13 +42,13 @@ addIssue(CheckReport &rep, const char *component, std::string what,
 
 /**
  * Census of pool IDs embedded in the image's own relative pointers.
- * The header's poolId field has no legal-value constraint a geometry
- * check could enforce, but the pool *contents* carry independent
- * copies: every stored relative pointer (bit 63 set) embeds the
- * 31-bit id of the pool it was stored into (bits 62..32 — the fixed
- * on-media representation the whole design is built on). Collects the
- * distinct ids found in aligned words of allocated payloads, capped
- * at a handful. Defensive walk: the arena may be mid-transaction, so
+ * The header check can only bound the poolId field to
+ * 1..kMaxPoolId, and any ID in that range is legal; but the pool
+ * *contents* carry independent copies: every stored relative pointer
+ * (bit 63 set) embeds the 31-bit id of the pool it was stored into
+ * (bits 62..32 — the fixed on-media representation the whole design
+ * is built on). Collects the distinct ids found in aligned words of
+ * allocated payloads, capped at a handful. Defensive walk: the arena may be mid-transaction, so
  * any inconsistent boundary tag ends the scan with whatever was
  * gathered so far.
  */
@@ -250,8 +225,8 @@ checkPool(Backing &image, bool repair)
             }
         }
         // The remaining suspects are poolId and the CRC field itself,
-        // and geometry cannot arbitrate between them: poolId has no
-        // legal-value constraint. The pool's own contents break the
+        // and geometry cannot arbitrate between them: any poolId in
+        // 1..kMaxPoolId is legal. The pool's own contents break the
         // tie — stored relative pointers embed the id (the census
         // below), and a restore from that witness must still be
         // proven by the stored CRC revalidating.
@@ -291,7 +266,7 @@ checkPool(Backing &image, bool repair)
                             [&h](std::uint32_t id) {
                                 return id != h.poolId;
                             });
-            if (geometryProblem(h, scratch.size()).empty() &&
+            if (poolHeaderProblem(h, scratch.size()).empty() &&
                 !contradicted) {
                 fixed.identCrc = poolIdentCrc(h);
                 what = "identity CRC damaged (reseal: all identity "
@@ -312,7 +287,7 @@ checkPool(Backing &image, bool repair)
         addIssue(rep, "header", what, true, repair);
     }
 
-    const std::string geo = geometryProblem(h, scratch.size());
+    const std::string geo = poolHeaderProblem(h, scratch.size());
     if (!geo.empty()) {
         // CRC-consistent garbage: the whole header block was replaced
         // wholesale. Nothing to anchor a repair to.

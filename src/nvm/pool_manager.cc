@@ -32,13 +32,6 @@ hostNsSince(std::chrono::steady_clock::time_point t0)
 constexpr Bytes kAttachAlign = 64 * 1024;
 /** First usable address in the NVM half (guard page below). */
 constexpr SimAddr kNvmFirst = Layout::kNvmBase + kAttachAlign;
-/**
- * Direct-index ceiling of the flat pool table. IDs assigned by this
- * manager are small and dense, but adopted images carry arbitrary
- * 32-bit IDs; those beyond the ceiling take the map-based slow path
- * instead of forcing a multi-gigabyte table.
- */
-constexpr std::size_t kMaxDirectSlots = 1u << 16;
 } // namespace
 
 PoolManager::PoolManager(AddressSpace &space, Placement placement,
@@ -54,48 +47,11 @@ PoolManager::PoolManager(AddressSpace &space, Placement placement,
                            "software virtual-to-relative translations");
 }
 
-PoolManager::PoolSlot &
-PoolManager::slotFor(PoolId id)
-{
-    static PoolSlot overflow; // shared dummy for out-of-range IDs
-    if (id >= kMaxDirectSlots) {
-        overflow = PoolSlot{};
-        return overflow;
-    }
-    if (id >= slots_.size())
-        slots_.resize(id + 1);
-    return slots_[id];
-}
-
-void
-PoolManager::refreshSlot(PoolId id)
-{
-    if (id >= kMaxDirectSlots)
-        return;
-    PoolSlot &slot = slotFor(id);
-    auto it = pools_.find(id);
-    if (it == pools_.end()) {
-        // Destroyed: keep the generation stamp so stale translations
-        // remain detectably stale, drop everything else.
-        slot.exists = false;
-        slot.attached = false;
-        slot.base = 0;
-        slot.size = 0;
-        return;
-    }
-    const Entry &entry = it->second;
-    slot.exists = true;
-    slot.attached = entry.attached;
-    slot.base = entry.base;
-    slot.size = entry.pool->size();
-}
-
 std::uint32_t
 PoolManager::generationOf(PoolId id) const
 {
-    if (id < slots_.size())
-        return slots_[id].generation;
-    return 0;
+    auto it = pools_.find(id);
+    return it == pools_.end() ? 0 : it->second.generation;
 }
 
 SimAddr
@@ -122,11 +78,17 @@ PoolManager::createPool(const std::string &name, Bytes size,
         throw Fault(FaultKind::BadUsage,
                     "pool name '" + name + "' already in use");
     }
+    if (nextId_ > kMaxPoolId) {
+        throw Fault(FaultKind::BadUsage,
+                    "pool IDs exhausted (the relative-pointer field "
+                    "holds 31 bits)");
+    }
     const PoolId id = nextId_++;
     Entry entry;
     entry.pool = std::make_unique<Pool>(id, name, size, engine);
     entry.allocator = std::make_unique<PoolAllocator>(*entry.pool);
     entry.allocator->format();
+    entry.size = size;
     pools_.emplace(id, std::move(entry));
     byName_.emplace(name, id);
     attach(id);
@@ -159,23 +121,14 @@ PoolManager::attach(PoolId id)
 {
     Entry &entry = pools_.at(id);
     upr_assert(!entry.attached);
-    const Bytes size = entry.pool->size();
-    const SimAddr base = placeRange(size);
+    const SimAddr base = placeRange(entry.size);
     char label[32];
     std::snprintf(label, sizeof(label), "pool:%u", id);
-    space_.map(base, size, entry.pool->backing(), 0, label);
+    space_.map(base, entry.size, entry.pool->backing(), 0, label, id);
     entry.attached = true;
     entry.base = base;
-    const AttachedRange range{base, size, id};
-    ranges_.insert(std::lower_bound(
-                       ranges_.begin(), ranges_.end(), base,
-                       [](const AttachedRange &r, SimAddr b) {
-                           return r.base < b;
-                       }),
-                   range);
-    rangeMru_ = 0; // indices shifted
-    ++slotFor(id).generation;
-    refreshSlot(id);
+    ++entry.generation;
+    memo_ = {};
     ++attaches_;
     ++epoch_;
     obs::traceEvent(obs::EventKind::PoolAttach, id, base);
@@ -194,15 +147,10 @@ PoolManager::detach(PoolId id)
         throw Fault(FaultKind::BadUsage, "pool is not attached");
     }
     space_.unmap(entry.base);
-    const SimAddr base = entry.base;
-    ranges_.erase(std::lower_bound(
-        ranges_.begin(), ranges_.end(), base,
-        [](const AttachedRange &r, SimAddr b) { return r.base < b; }));
-    rangeMru_ = 0; // indices shifted
     entry.attached = false;
     entry.base = 0;
-    ++slotFor(id).generation;
-    refreshSlot(id);
+    ++entry.generation;
+    memo_ = {};
     ++detaches_;
     ++epoch_;
     obs::traceEvent(obs::EventKind::PoolDetach, id);
@@ -220,7 +168,6 @@ PoolManager::destroy(PoolId id)
         detach(id);
     byName_.erase(it->second.pool->name());
     pools_.erase(it);
-    refreshSlot(id);
 }
 
 bool
@@ -267,14 +214,9 @@ SimAddr
 PoolManager::ra2va(PoolId id, PoolOffset off) const
 {
     ++ra2vaCalls_;
-    // Fast path: one flat-table row carries every check ra2va needs.
-    if (id < slots_.size()) {
-        const PoolSlot &slot = slots_[id];
-        if (slot.attached && off < slot.size)
-            return slot.base + off;
-    }
-    // Slow path: distinguish the fault cases (or serve an ID beyond
-    // the direct-index ceiling).
+    if (id == memo_.id && off < memo_.size)
+        return memo_.base + off;
+    // Slow path: distinguish the fault cases, or refill the memo.
     auto it = pools_.find(id);
     if (it == pools_.end()) {
         char buf[48];
@@ -286,10 +228,11 @@ PoolManager::ra2va(PoolId id, PoolOffset off) const
         throw Fault(FaultKind::PoolDetached,
                     "pool '" + entry.pool->name() + "'");
     }
-    if (off >= entry.pool->size()) {
+    if (off >= entry.size) {
         throw Fault(FaultKind::OffsetOutOfPool,
                     "pool '" + entry.pool->name() + "'");
     }
+    memo_ = {id, entry.base, entry.size};
     return entry.base + off;
 }
 
@@ -297,29 +240,11 @@ std::pair<PoolId, PoolOffset>
 PoolManager::va2ra(SimAddr va) const
 {
     ++va2raCalls_;
-    // MRU fast path: repeated translations overwhelmingly target the
-    // same attached range.
-    if (rangeMru_ < ranges_.size()) {
-        const AttachedRange &m = ranges_[rangeMru_];
-        if (va - m.base < m.size)
-            return {m.id, static_cast<PoolOffset>(va - m.base)};
-    }
-    // Binary search for the last range with base <= va.
-    std::size_t lo = 0, hi = ranges_.size();
-    while (lo < hi) {
-        const std::size_t mid = (lo + hi) / 2;
-        if (ranges_[mid].base <= va)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    if (lo > 0) {
-        const AttachedRange &r = ranges_[lo - 1];
-        if (va - r.base < r.size) {
-            rangeMru_ = lo - 1;
-            return {r.id, static_cast<PoolOffset>(va - r.base)};
-        }
-    }
+    // The address space is the one VA index: pool regions carry
+    // their pool's ID as owner tag.
+    const AddressSpace::PoolRegion r = space_.poolRegion(va);
+    if (r.pool != 0)
+        return {r.pool, static_cast<PoolOffset>(va - r.base)};
     char buf[48];
     std::snprintf(buf, sizeof(buf), "va 0x%llx in no attached pool",
                   (unsigned long long)va);
@@ -356,7 +281,15 @@ PoolManager::pfree(SimAddr va)
 std::vector<AttachedRange>
 PoolManager::attachedRanges() const
 {
-    return ranges_;
+    std::vector<AttachedRange> out;
+    for (const auto &[id, entry] : pools_)
+        if (entry.attached)
+            out.push_back({entry.base, entry.size, id});
+    std::sort(out.begin(), out.end(),
+              [](const AttachedRange &a, const AttachedRange &b) {
+                  return a.base < b.base;
+              });
+    return out;
 }
 
 void
@@ -410,6 +343,7 @@ PoolManager::registerAdopted(std::unique_ptr<Pool> loaded,
     Entry entry;
     entry.pool = std::move(loaded);
     entry.allocator = std::make_unique<PoolAllocator>(*entry.pool);
+    entry.size = entry.pool->size();
     entry.quarantined = quarantined;
     pools_.emplace(id, std::move(entry));
     byName_.emplace(name, id);

@@ -186,8 +186,9 @@ class PoolManager
 
     /**
      * Per-pool attach generation: bumped every time pool @p id
-     * attaches or detaches (0 for a pool never seen). Lets tests and
-     * tools detect that a translation was cached across a relocation.
+     * attaches or detaches (0 for a pool that does not exist). Lets
+     * tests and tools detect that a translation was cached across a
+     * relocation.
      */
     std::uint32_t generationOf(PoolId id) const;
 
@@ -258,13 +259,18 @@ class PoolManager
     /** Map @p id at a fresh address. */
     void attach(PoolId id);
 
+    /** The one record of a pool (the POTB row of paper Sec V-A). */
     struct Entry
     {
         std::unique_ptr<Pool> pool;
         std::unique_ptr<PoolAllocator> allocator;
+        SimAddr base = 0;
+        /** Pool::size(), cached: reading it re-reads the header. */
+        Bytes size = 0;
         bool attached = false;
         bool quarantined = false;
-        SimAddr base = 0;
+        /** Bumped on every attach and detach of this pool. */
+        std::uint32_t generation = 0;
     };
 
     /**
@@ -273,30 +279,6 @@ class PoolManager
      */
     PoolId registerAdopted(std::unique_ptr<Pool> loaded,
                            const std::string &name, bool quarantined);
-
-    /**
-     * One row of the flat translation table indexed directly by
-     * PoolId — the software analogue of the kernel's POTB. ra2va is
-     * the hottest call in the whole simulator (it sits under every
-     * SW-version pointer check and every POLB walk), so the row
-     * carries everything the fast path needs: no map node chase, no
-     * Pool::header() re-read for the size.
-     */
-    struct PoolSlot
-    {
-        SimAddr base = 0;
-        Bytes size = 0;
-        /** Bumped on every attach and detach of this ID. */
-        std::uint32_t generation = 0;
-        bool exists = false;
-        bool attached = false;
-    };
-
-    /** Slot for @p id, growing the table as needed. */
-    PoolSlot &slotFor(PoolId id);
-
-    /** Keep the slot table in sync after a state change. */
-    void refreshSlot(PoolId id);
 
     AddressSpace &space_;
     Placement placement_;
@@ -308,12 +290,19 @@ class PoolManager
     std::map<PoolId, Entry> pools_;
     std::map<std::string, PoolId> byName_;
 
-    /** Flat pool table: slots_[id] (direct index, generation-stamped). */
-    std::vector<PoolSlot> slots_;
-    /** Attached ranges sorted by base VA for va2ra binary search. */
-    std::vector<AttachedRange> ranges_;
-    /** Index into ranges_ of the last va2ra hit (MRU cache). */
-    mutable std::size_t rangeMru_ = 0;
+    /**
+     * The last ra2va hit: ra2va sits under every SW-version pointer
+     * check and every POLB walk, and nearly all of them name the same
+     * pool. Only attach and detach clear it, so it only ever holds an
+     * attached pool (pool 0 = empty; size 0 never matches).
+     */
+    struct Ra2vaMemo
+    {
+        PoolId id = 0;
+        SimAddr base = 0;
+        Bytes size = 0;
+    };
+    mutable Ra2vaMemo memo_;
 
     StatGroup stats_;
     Counter attaches_;

@@ -1,12 +1,13 @@
 /**
  * @file
  * Targeted tests for the flat lookup structures behind the hot paths:
- * the AddressSpace sorted-vector + MRU region cache and the
- * PoolManager slot table / attached-range index. The structures are
- * caches over authoritative state, so the main hazards are stale MRU
- * entries after map/unmap and stale slots across detach/re-attach --
- * plus plain binary-search bugs. A randomized model check compares
- * every answer against a naive reference.
+ * the AddressSpace sorted-vector + MRU region cache (also the VA ->
+ * pool index behind PoolManager::va2ra) and PoolManager's one-entry
+ * ra2va memo. Both are caches over authoritative state, so the main
+ * hazards are stale MRU entries after map/unmap and a stale memo
+ * across detach/re-attach -- plus plain binary-search bugs. A
+ * randomized model check compares every answer against a naive
+ * reference.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "common/random.hh"
 #include "mem/address_space.hh"
 #include "nvm/pool_manager.hh"
+#include "pool_image.hh"
 
 using namespace upr;
 
@@ -170,6 +172,43 @@ TEST_F(PoolSlots, GenerationBumpsOnAttachAndDetach)
     EXPECT_EQ(mgr.generationOf(id), g0 + 2);
 }
 
+TEST_F(PoolSlots, HighIdPoolBehavesLikeALowOne)
+{
+    // Adopted images keep the ID they were saved with, however far it
+    // lies above the dense IDs createPool hands out.
+    const PoolId low = mgr.createPool("low", 1 << 20);
+    const PoolId id =
+        mgr.adoptImage(test::imageWithPoolId(70000), "high");
+    ASSERT_EQ(id, 70000u);
+
+    const SimAddr va = mgr.pmalloc(id, 64);
+    const auto [rid, off] = mgr.va2ra(va);
+    EXPECT_EQ(rid, id);
+    EXPECT_EQ(mgr.ra2va(id, off), va);
+    // Alternate with the low pool: each lookup names its own pool.
+    EXPECT_EQ(mgr.ra2va(low, off), mgr.baseOf(low) + off);
+    EXPECT_EQ(mgr.ra2va(id, off), va);
+
+    const std::uint32_t g0 = mgr.generationOf(id);
+    EXPECT_GT(g0, 0u); // adoption attaches
+    mgr.detach(id);
+    EXPECT_EQ(mgr.generationOf(id), g0 + 1);
+    try {
+        mgr.ra2va(id, off);
+        FAIL() << "expected Fault{PoolDetached}";
+    } catch (const Fault &f) {
+        EXPECT_EQ(f.kind(), FaultKind::PoolDetached);
+    }
+    EXPECT_THROW(mgr.va2ra(va), Fault);
+
+    mgr.openPool("high");
+    EXPECT_EQ(mgr.generationOf(id), g0 + 2);
+    const SimAddr base = mgr.baseOf(id);
+    EXPECT_EQ(mgr.ra2va(id, off), base + off);
+    EXPECT_EQ(mgr.va2ra(base + off),
+              (std::pair<PoolId, PoolOffset>{id, off}));
+}
+
 TEST_F(PoolSlots, DetachReattachCyclesStayCoherent)
 {
     const PoolId id = mgr.createPool("cycler", 1 << 20);
@@ -180,8 +219,7 @@ TEST_F(PoolSlots, DetachReattachCyclesStayCoherent)
     SimAddr prev_base = mgr.baseOf(id);
     for (int i = 0; i < 6; ++i) {
         mgr.detach(id);
-        // The fast path must not serve a translation for a detached
-        // pool from its (stale) slot.
+        // The memo must not serve a translation for a detached pool.
         EXPECT_THROW(mgr.ra2va(id, off), Fault);
         EXPECT_THROW(mgr.va2ra(prev_base + off), Fault);
 
@@ -198,7 +236,7 @@ TEST_F(PoolSlots, DetachReattachCyclesStayCoherent)
 TEST_F(PoolSlots, DestroyedPoolKeepsFaultingAfterSlotReuse)
 {
     const PoolId a = mgr.createPool("a", 1 << 20);
-    mgr.ra2va(a, 128); // prime the slot
+    mgr.ra2va(a, 128); // prime the memo
     mgr.destroy(a);
 
     EXPECT_FALSE(mgr.exists(a));

@@ -17,7 +17,7 @@ TEST(PtrRepr, RelativeEncodeDecodeRoundTrip)
 
 TEST(PtrRepr, MaxFieldsRoundTrip)
 {
-    const PoolId max_pool = PtrRepr::kMaxPoolId;
+    const PoolId max_pool = kMaxPoolId;
     const PoolOffset max_off = 0xffffffffU;
     const PtrBits p = PtrRepr::makeRelative(max_pool, max_off);
     EXPECT_EQ(PtrRepr::poolOf(p), max_pool);
@@ -27,7 +27,7 @@ TEST(PtrRepr, MaxFieldsRoundTrip)
 TEST(PtrRepr, PoolIdZeroAndOverflowRejected)
 {
     EXPECT_DEATH(PtrRepr::makeRelative(0, 0), "not encodable");
-    EXPECT_DEATH(PtrRepr::makeRelative(PtrRepr::kMaxPoolId + 1, 0),
+    EXPECT_DEATH(PtrRepr::makeRelative(kMaxPoolId + 1, 0),
                  "not encodable");
 }
 

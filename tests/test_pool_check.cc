@@ -12,6 +12,7 @@
 #include "nvm/pool_check.hh"
 #include "nvm/pool_manager.hh"
 #include "nvm/txn.hh"
+#include "pool_image.hh"
 
 using namespace upr;
 
@@ -140,11 +141,26 @@ TEST_F(PoolCheckRepair, IdentityCrcReseals)
     EXPECT_EQ(again.status, CheckStatus::Clean) << "repair not stable";
 }
 
+TEST_F(PoolCheck, PoolIdPastRelativePointerFieldIsCorrupt)
+{
+    // A CRC-consistent header naming pool 2^31: no relative pointer
+    // can encode that ID, so the image is unusable, not clean.
+    Backing b = test::imageWithPoolId(kMaxPoolId + 1);
+    const CheckReport rep = checkPool(b, true);
+    EXPECT_EQ(rep.status, CheckStatus::Corrupt);
+    ASSERT_FALSE(rep.issues.empty());
+    EXPECT_EQ(rep.issues[0].component, "header");
+
+    Backing last = test::imageWithPoolId(kMaxPoolId);
+    EXPECT_EQ(checkPool(last, false).status, CheckStatus::Clean);
+}
+
 TEST_F(PoolCheckRepair, DamagedPoolIdRestoresFromInteriorPointers)
 {
-    // poolId has no legal-value constraint a geometry check could
-    // enforce — the redundancy is the pool's own stored relative
-    // pointers, and the restore must revalidate the identity CRC.
+    // Any poolId in 1..kMaxPoolId is legal, so no header check can
+    // catch a flip that stays in range — the redundancy is the pool's
+    // own stored relative pointers, and the restore must revalidate
+    // the identity CRC.
     auto image = imageWithPointers();
     image[kPoolIdOff] = 0x30; // was 1
     Backing dry = toBacking(image);

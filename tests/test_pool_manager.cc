@@ -7,6 +7,7 @@
 #include <string>
 
 #include "nvm/pool_manager.hh"
+#include "pool_image.hh"
 #include "temp_path.hh"
 
 using namespace upr;
@@ -186,4 +187,41 @@ TEST_F(PoolManagerTest, LoadImageRejectsGarbage)
     std::fclose(f);
     EXPECT_THROW(mgr.loadImage(path, "bad"), Fault);
     std::remove(path.c_str());
+}
+
+TEST_F(PoolManagerTest, AdoptRejectsPoolIdPastRelativePointerField)
+{
+    // Relative pointers hold 31 bits of pool ID: an image naming a
+    // larger one is corrupt, not a pool whose first pmalloc aborts.
+    try {
+        mgr.adoptImage(test::imageWithPoolId(kMaxPoolId + 1), "big");
+        FAIL() << "expected Fault{CorruptPool}";
+    } catch (const Fault &f) {
+        EXPECT_EQ(f.kind(), FaultKind::CorruptPool);
+    }
+    EXPECT_EQ(mgr.idByName("big"), 0u);
+}
+
+TEST_F(PoolManagerTest, OpenResilientRejectsPoolIdPastRelativePointerField)
+{
+    const ResilientOpenReport rep =
+        mgr.openResilient(test::imageWithPoolId(0x80000000u), "big");
+    EXPECT_EQ(rep.outcome, OpenOutcome::Rejected);
+    EXPECT_EQ(rep.id, 0u);
+    EXPECT_EQ(rep.diagnosis, FaultKind::CorruptPool);
+}
+
+TEST_F(PoolManagerTest, CreatePoolThrowsOnceIdsRunOut)
+{
+    const PoolId last =
+        mgr.adoptImage(test::imageWithPoolId(kMaxPoolId), "last");
+    EXPECT_EQ(last, kMaxPoolId);
+    EXPECT_EQ(mgr.ra2va(last, 64), mgr.baseOf(last) + 64);
+    try {
+        mgr.createPool("next", 1 << 20);
+        FAIL() << "expected Fault{BadUsage}";
+    } catch (const Fault &f) {
+        EXPECT_EQ(f.kind(), FaultKind::BadUsage);
+    }
+    EXPECT_EQ(mgr.idByName("next"), 0u);
 }

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/runtime.hh"
+#include "obs/metrics.hh"
 
 using namespace upr;
 
@@ -267,6 +270,26 @@ TEST(RuntimeHw, ConversionReuseSkipsTranslations)
     rt.resolveForAccess(p, 1);
     // Only the first resolve translates; the rest reuse (Fig 12).
     EXPECT_EQ(rt.relToAbs(), 1u);
+}
+
+TEST(RuntimeHw, PmallocDoesNoSoftwareTranslation)
+{
+    // pmallocBits builds the relative pointer from the pool base: no
+    // software va2ra happens, so none may be counted.
+    Runtime rt(makeConfig(Version::Hw));
+    const PoolId pool = rt.createPool("p", 1 << 20);
+    auto &reg = obs::MetricsRegistry::instance();
+    const obs::MetricsSnapshot before = reg.snapshot();
+    std::set<PoolOffset> offsets;
+    for (int i = 0; i < 16; ++i) {
+        const PtrBits p = rt.pmallocBits(pool, 64);
+        ASSERT_EQ(PtrRepr::poolOf(p), pool);
+        offsets.insert(PtrRepr::offsetOf(p));
+    }
+    const obs::MetricsSnapshot d = reg.snapshot().minus(before);
+    EXPECT_EQ(offsets.size(), 16u);
+    ASSERT_EQ(d.counters.count("pools.va2ra"), 1u);
+    EXPECT_EQ(d.counters.at("pools.va2ra"), 0u);
 }
 
 TEST(RuntimeHw, ReuseDisabledTranslatesEveryTime)
