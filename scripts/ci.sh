@@ -16,6 +16,9 @@
 #      TSan multiplies its wall time);
 #   3. clang-tidy over the compiler subsystem, if available;
 #   4. every bench section's exact counters vs its BENCH_*.json golden;
+#   4p. the repository benchmark's oracles: one short run of every
+#      perfbench workload (table replays, crash-image recovery, exact
+#      counter repeats), failing on any non-zero exit;
 #   5. observability overhead gate: with event tracing compiled in,
 #      a traced run and an untraced run of the quick bench must agree
 #      on every simulated counter (tracing observes the model, never
@@ -78,6 +81,17 @@ for s in fault txn exec concurrent static fig11 micro; do
         "BENCH_$s.json" "$BENCH_OUT/BENCH_$s.json"
 done
 rm -rf "$BENCH_OUT"
+
+echo "==> tier 4p: perfbench oracle smoke"
+for w in kv_read_latest kv_update_durable ir_exec; do
+    out=$(python3 perfbench/run.py --workload "$w" --seed 1 \
+        --seconds 1 --trace 0 2>&1) || {
+        echo "$out" >&2
+        echo "ci: perfbench $w failed" >&2
+        exit 1
+    }
+    echo "perfbench $w: every oracle passed"
+done
 
 echo "==> tier 5: observability overhead gate"
 GATE_OUT=$(mktemp -d)

@@ -61,7 +61,12 @@ class ConcurrentKvStore
     std::vector<std::vector<KvOp>>
     partition(const std::vector<KvOp> &ops) const
     {
+        std::vector<std::size_t> counts(fleet_->shardCount(), 0);
+        for (const KvOp &op : ops)
+            ++counts[fleet_->shardOf(op.key)];
         std::vector<std::vector<KvOp>> parts(fleet_->shardCount());
+        for (std::size_t s = 0; s < parts.size(); ++s)
+            parts[s].reserve(counts[s]);
         for (const KvOp &op : ops)
             parts[fleet_->shardOf(op.key)].push_back(op);
         return parts;

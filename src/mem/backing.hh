@@ -13,17 +13,22 @@
  * heaps and for functional tests, but it hides the failure modes real
  * NVM has: a cache line that never left the CPU caches is *gone* after
  * a crash, and write-back order is not program order. Enabling the
- * persistence domain (enablePersistenceDomain()) splits the backing in
- * two:
+ * persistence domain (enablePersistenceDomain()) distinguishes
  *
  *   - the *live* bytes: what reads and writes see (CPU caches);
- *   - the *durable* image: what survives a crash (the NVM media).
+ *   - the *media* bytes: what survives a crash (the NVM).
  *
- * Writes land in the live bytes only and mark their 64-byte lines
- * dirty. flush(off, len) stages the covered lines for write-back
- * (CLWB); fence() completes all staged write-backs into the durable
- * image (SFENCE). crashImage() materializes what a crash at this
- * instant would leave on media:
+ * Only lines written since their last fence can differ, so only those
+ * carry state: when a write first dirties a clean line, the line's
+ * current (= media) bytes are saved in its pending record, and the
+ * live bytes take the write. flush(off, len) stages the covered lines
+ * for write-back (CLWB); fence() completes all staged write-backs
+ * (SFENCE) by dropping their records — their media now equals their
+ * live bytes. A line with no record has identical media and live
+ * bytes, so enabling the domain and fencing copy nothing. crashImage()
+ * materializes what a crash at this instant would leave on media: the
+ * live bytes, with every pending line the retention mode does not
+ * keep rolled back to its saved media bytes:
  *
  *   - CrashMode::DiscardUnfenced — only fenced lines survive (the
  *     strictest schedule: nothing in flight makes it out);
@@ -51,7 +56,6 @@
 #include <cstring>
 #include <functional>
 #include <map>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -89,8 +93,7 @@ class ByteStore
     ByteStore(const ByteStore &other)
     {
         allocate(other.size_);
-        if (size_ > 0)
-            std::memcpy(data_, other.data_, size_);
+        copyNonZeroPages(other.data_, size_);
     }
 
     ByteStore &
@@ -151,6 +154,26 @@ class ByteStore
         std::swap(data_, other.data_);
         std::swap(size_, other.size_);
         std::swap(mapBytes_, other.mapBytes_);
+    }
+
+    /**
+     * Copy @p n bytes of @p src to the start of this freshly
+     * allocated (all-zero) store, skipping every 4 KiB page of @p src
+     * that is all zero: those already read as zero here and stay
+     * unmapped, so copying a mostly empty pool image costs resident
+     * memory only for its written pages. The content is identical to
+     * a plain memcpy.
+     */
+    void
+    copyNonZeroPages(const std::uint8_t *src, Bytes n)
+    {
+        constexpr Bytes kPage = 4096;
+        for (Bytes off = 0; off < n; off += kPage) {
+            const std::uint8_t *p = src + off;
+            const Bytes len = std::min(kPage, n - off);
+            if (p[0] != 0 || std::memcmp(p, p + 1, len - 1) != 0)
+                std::memcpy(data_ + off, p, len);
+        }
     }
 
   private:
@@ -292,16 +315,16 @@ class Backing
 
     /**
      * Copy: duplicates the bytes and the persistence-domain state
-     * (durable image, pending lines, epoch, read-only flag) but NOT
-     * the observers or an installed write stage — a copy is a fresh
-     * view of the same media (crash images, scratch check/repair
-     * trials), never a second endpoint of the original's
-     * instrumentation.
+     * (pending lines with their media bytes, epoch, read-only flag)
+     * but NOT the observers or an installed write stage — a copy is
+     * a fresh view of the same media (crash images, scratch
+     * check/repair trials), never a second endpoint of the
+     * original's instrumentation.
      */
     Backing(const Backing &other)
         : bytes_(other.bytes_), domainEnabled_(other.domainEnabled_),
           readOnly_(other.readOnly_), fenceEpoch_(other.fenceEpoch_),
-          durable_(other.durable_), pending_(other.pending_)
+          pending_(other.pending_)
     {
     }
 
@@ -349,15 +372,15 @@ class Backing
      */
     std::uint8_t *rawData() { return bytes_.data(); }
 
-    /** Grow to @p new_size bytes (never shrinks). */
+    /**
+     * Grow to @p new_size bytes (never shrinks). The new bytes are
+     * zero on media and live alike.
+     */
     void
     grow(Bytes new_size)
     {
-        if (new_size > bytes_.size()) {
+        if (new_size > bytes_.size())
             bytes_.resize(new_size);
-            if (domainEnabled_)
-                durable_.resize(new_size, 0);
-        }
     }
 
     /** Copy @p n bytes at byte offset @p off into @p dst. */
@@ -395,9 +418,12 @@ class Backing
             persistObserver_(PersistEvent::Write, off, n);
         if (writeObserver_)
             writeObserver_(off, n);
-        std::memcpy(bytes_.data() + off, src, n);
+        // After the observers (a crash injected at this Write sees the
+        // pre-write state), before the bytes change (a newly dirty
+        // line saves what its media still holds).
         if (domainEnabled_)
-            markLines(off, n, LineState::Dirty);
+            markDirty(off, n);
+        std::memcpy(bytes_.data() + off, src, n);
     }
 
     /**
@@ -469,9 +495,8 @@ class Backing
     // ------------------------------------------------------------------
 
     /**
-     * Start distinguishing live from durable bytes. The current
-     * content becomes the durable image (everything written so far is
-     * considered on media). Idempotent.
+     * Start distinguishing live from media bytes. Everything written
+     * so far is considered on media. O(1); idempotent.
      */
     void
     enablePersistenceDomain()
@@ -479,7 +504,6 @@ class Backing
         if (domainEnabled_)
             return;
         domainEnabled_ = true;
-        durable_ = bytes_.toVector();
         pending_.clear();
     }
 
@@ -488,30 +512,34 @@ class Backing
 
     /**
      * Stage the lines covering [off, off+len) for write-back (CLWB).
-     * Durable only after the next fence(). No-op when the domain is
-     * disabled; flushing clean lines is allowed and has no effect.
+     * Durable only after the next fence(). The range is checked
+     * whether or not the domain is enabled (an empty range is a
+     * no-op); otherwise a no-op when the domain is disabled. Flushing
+     * clean lines is allowed and has no effect.
      */
     void
     flush(Bytes off, Bytes len)
     {
-        if (!domainEnabled_ || len == 0)
+        if (len == 0)
             return;
         checkRange(off, len, "flush");
+        if (!domainEnabled_)
+            return;
         if (persistObserver_)
             persistObserver_(PersistEvent::Flush, off, len);
         const Bytes first = off / kLineBytes;
         const Bytes last = (off + len - 1) / kLineBytes;
         for (Bytes line = first; line <= last; ++line) {
-            auto it = pending_.find(line);
-            if (it != pending_.end())
-                it->second.state = LineState::Flushed;
+            if (PendingLine *p = pending_.find(line))
+                p->state = LineState::Flushed;
         }
     }
 
     /**
-     * Complete all staged write-backs (SFENCE): every Flushed line is
-     * copied into the durable image. Dirty-but-unflushed lines stay
-     * volatile. No-op when the domain is disabled.
+     * Complete all staged write-backs (SFENCE): every Flushed line's
+     * media now equals its live bytes, so its record is dropped.
+     * Dirty-but-unflushed lines stay volatile. No-op when the domain
+     * is disabled.
      */
     void
     fence()
@@ -520,14 +548,7 @@ class Backing
             return;
         if (persistObserver_)
             persistObserver_(PersistEvent::Fence, 0, 0);
-        for (auto it = pending_.begin(); it != pending_.end();) {
-            if (it->second.state == LineState::Flushed) {
-                persistLine(it->first, durable_);
-                it = pending_.erase(it);
-            } else {
-                ++it;
-            }
-        }
+        pending_.dropFlushed();
         ++fenceEpoch_; // close the epoch the surviving writes live in
     }
 
@@ -542,31 +563,14 @@ class Backing
     std::vector<std::uint8_t>
     crashImage(CrashMode mode, std::uint64_t seed = 0) const
     {
+        std::vector<std::uint8_t> image = bytes_.toVector();
         if (!domainEnabled_)
-            return bytes_.toVector();
-        std::vector<std::uint8_t> image = durable_;
-        for (const auto &[line, info] : pending_) {
-            switch (mode) {
-              case CrashMode::DiscardUnfenced:
-                break; // unfenced lines never survive
-              case CrashMode::RetainRandom:
-                if (lineCoin(line, seed))
-                    persistLine(line, image);
-                break;
-              case CrashMode::RetainEpoch:
-                // Completed epochs drained to media by themselves.
-                if (info.writeEpoch < fenceEpoch_)
-                    persistLine(line, image);
-                break;
-              case CrashMode::RetainBoundedStale:
-                // Media lags by <= kStaleBound epochs: old pending
-                // lines are guaranteed durable, younger ones race.
-                if (fenceEpoch_ - info.writeEpoch >= kStaleBound) {
-                    persistLine(line, image);
-                } else if (lineCoin(line, seed)) {
-                    persistLine(line, image);
-                }
-                break;
+            return image;
+        for (const PendingLine &p : pending_) {
+            if (!survives(p, mode, seed)) {
+                const Bytes off = p.line * kLineBytes;
+                std::memcpy(image.data() + off, p.media,
+                            std::min<Bytes>(kLineBytes, image.size() - off));
             }
         }
         return image;
@@ -601,11 +605,9 @@ class Backing
     assign(std::vector<std::uint8_t> content)
     {
         ByteStore fresh(content.size());
-        if (!content.empty())
-            std::memcpy(fresh.data(), content.data(), content.size());
+        fresh.copyNonZeroPages(content.data(), content.size());
         bytes_ = std::move(fresh);
         domainEnabled_ = false;
-        durable_.clear();
         pending_.clear();
         fenceEpoch_ = 0;
     }
@@ -616,7 +618,6 @@ class Backing
     {
         bytes_ = content;
         domainEnabled_ = false;
-        durable_.clear();
         pending_.clear();
         fenceEpoch_ = 0;
     }
@@ -628,12 +629,128 @@ class Backing
         Flushed, //!< flush issued, not yet fenced
     };
 
-    /** Volatile state of one unfenced line. */
-    struct LineInfo
+    /** One unfenced line: its volatile state and its media bytes. */
+    struct PendingLine
     {
-        LineState state;
+        Bytes line;
         /** fenceEpoch_ at the line's most recent write. */
         std::uint64_t writeEpoch;
+        LineState state;
+        /** What the media holds (zero past the end of the backing). */
+        std::uint8_t media[kLineBytes];
+    };
+
+    /**
+     * The unfenced lines: dense records plus a linear-probing index
+     * over them (slot = record position + 1, 0 = empty) kept at most
+     * half full. Lines leave only at a fence, which compacts the
+     * records and rebuilds the index, so there are no tombstones and,
+     * once the records reach their working size, no per-line
+     * allocation. Iteration order is insertion order minus the
+     * dropped lines.
+     */
+    class PendingTable
+    {
+      public:
+        std::size_t size() const { return records_.size(); }
+        const PendingLine *begin() const { return records_.data(); }
+        const PendingLine *end() const
+        {
+            return records_.data() + records_.size();
+        }
+
+        /** The record of @p line, or nullptr. */
+        PendingLine *
+        find(Bytes line)
+        {
+            if (records_.empty())
+                return nullptr;
+            const std::size_t mask = slots_.size() - 1;
+            for (std::size_t i = home(line);; i = (i + 1) & mask) {
+                const std::uint32_t s = slots_[i];
+                if (s == 0)
+                    return nullptr;
+                if (records_[s - 1].line == line)
+                    return &records_[s - 1];
+            }
+        }
+
+        /** Append a zeroed record for @p line, which must be absent. */
+        PendingLine &
+        add(Bytes line)
+        {
+            if (2 * (records_.size() + 1) > slots_.size())
+                reindex(std::max(kMinSlots, 2 * slots_.size()));
+            records_.emplace_back();
+            records_.back().line = line;
+            place(static_cast<std::uint32_t>(records_.size()));
+            return records_.back();
+        }
+
+        /** Drop every Flushed record (the fence). */
+        void
+        dropFlushed()
+        {
+            const auto kept = std::remove_if(
+                records_.begin(), records_.end(),
+                [](const PendingLine &p) {
+                    return p.state == LineState::Flushed;
+                });
+            if (kept == records_.end())
+                return;
+            records_.erase(kept, records_.end());
+            std::size_t slots = kMinSlots;
+            while (slots < 2 * records_.size())
+                slots *= 2;
+            reindex(slots);
+        }
+
+        void
+        clear()
+        {
+            records_.clear();
+            slots_.clear();
+        }
+
+      private:
+        static constexpr std::size_t kMinSlots = 16;
+
+        /** Fibonacci hash of @p line onto the index. */
+        std::size_t
+        home(Bytes line) const
+        {
+            return static_cast<std::size_t>(
+                (line * 0x9E37'79B9'7F4A'7C15ULL) >> shift_);
+        }
+
+        /** Index record @p slot (position + 1) at its first free slot. */
+        void
+        place(std::uint32_t slot)
+        {
+            const std::size_t mask = slots_.size() - 1;
+            std::size_t i = home(records_[slot - 1].line);
+            while (slots_[i] != 0)
+                i = (i + 1) & mask;
+            slots_[i] = slot;
+        }
+
+        /** Rebuild the index over the records with @p slots slots. */
+        void
+        reindex(std::size_t slots)
+        {
+            slots_.assign(slots, 0);
+            shift_ = 64;
+            for (std::size_t n = slots; n > 1; n /= 2)
+                --shift_;
+            for (std::size_t r = 0; r < records_.size(); ++r)
+                place(static_cast<std::uint32_t>(r + 1));
+        }
+
+        std::vector<PendingLine> records_;
+        /** Power-of-two index; empty until the first record. */
+        std::vector<std::uint32_t> slots_;
+        /** 64 - log2(slots_.size()), once slots_ is non-empty. */
+        unsigned shift_ = 0;
     };
 
     /**
@@ -670,16 +787,51 @@ class Backing
         }
     }
 
-    /** Mark the lines covering [off, off+len) with @p state. */
+    /**
+     * Mark the lines covering [off, off+len) Dirty in the current
+     * epoch. A line that was clean saves its bytes, which are still
+     * its media bytes, so call this before the live bytes change.
+     */
     void
-    markLines(Bytes off, Bytes len, LineState state)
+    markDirty(Bytes off, Bytes len)
     {
         if (len == 0)
             return;
         const Bytes first = off / kLineBytes;
         const Bytes last = (off + len - 1) / kLineBytes;
-        for (Bytes line = first; line <= last; ++line)
-            pending_[line] = {state, fenceEpoch_};
+        for (Bytes line = first; line <= last; ++line) {
+            PendingLine *p = pending_.find(line);
+            if (p == nullptr) {
+                p = &pending_.add(line);
+                const Bytes at = line * kLineBytes;
+                std::memcpy(p->media, bytes_.data() + at,
+                            std::min<Bytes>(kLineBytes, bytes_.size() - at));
+            }
+            p->state = LineState::Dirty;
+            p->writeEpoch = fenceEpoch_;
+        }
+    }
+
+    /** Whether pending line @p p reaches media in a crash now. */
+    bool
+    survives(const PendingLine &p, CrashMode mode,
+             std::uint64_t seed) const
+    {
+        switch (mode) {
+          case CrashMode::DiscardUnfenced:
+            return false; // unfenced lines never survive
+          case CrashMode::RetainRandom:
+            return lineCoin(p.line, seed);
+          case CrashMode::RetainEpoch:
+            // Completed epochs drained to media by themselves.
+            return p.writeEpoch < fenceEpoch_;
+          case CrashMode::RetainBoundedStale:
+            // Media lags by <= kStaleBound epochs: old pending lines
+            // are guaranteed durable, younger ones race.
+            return fenceEpoch_ - p.writeEpoch >= kStaleBound ||
+                   lineCoin(p.line, seed);
+        }
+        return false;
     }
 
     /** Overlay staged bytes (under first, then top) onto @p dst. */
@@ -696,16 +848,6 @@ class Backing
             dst[it->first - off] = it->second;
     }
 
-    /** Copy line @p line of the live bytes into @p dst. */
-    void
-    persistLine(Bytes line, std::vector<std::uint8_t> &dst) const
-    {
-        const Bytes off = line * kLineBytes;
-        const Bytes n =
-            std::min<Bytes>(kLineBytes, bytes_.size() - off);
-        std::memcpy(dst.data() + off, bytes_.data() + off, n);
-    }
-
     ByteStore bytes_;
     std::function<void(Bytes, Bytes)> writeObserver_;
     std::function<void(PersistEvent, Bytes, Bytes)> persistObserver_;
@@ -716,10 +858,11 @@ class Backing
     bool readOnly_ = false;
     /** Fences completed since the domain (or backing) came up. */
     std::uint64_t fenceEpoch_ = 0;
-    /** The crash-surviving image (valid while domainEnabled_). */
-    std::vector<std::uint8_t> durable_;
-    /** Line index -> volatile state, for every unfenced line. */
-    std::unordered_map<Bytes, LineInfo> pending_;
+    /**
+     * Every unfenced line. Invariant: a line with no record has
+     * identical media and live bytes.
+     */
+    PendingTable pending_;
 };
 
 } // namespace upr

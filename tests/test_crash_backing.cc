@@ -8,8 +8,11 @@
 
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/crc32.hh"
 #include "crash/crash_injector.hh"
@@ -233,6 +236,297 @@ TEST(PersistenceDomain, AssignResetsTheDomain)
     b.assign(std::vector<std::uint8_t>(256, 0xFF));
     EXPECT_FALSE(b.persistenceDomainEnabled());
     EXPECT_EQ(b.size(), 256u);
+}
+
+TEST(PersistenceDomain, OutOfRangeFlushFaultsWithDomainOff)
+{
+    Backing b(4096);
+    ASSERT_FALSE(b.persistenceDomainEnabled());
+    try {
+        b.flush(4000, 200);
+        FAIL() << "out-of-range flush passed with the domain off";
+    } catch (const Fault &f) {
+        EXPECT_EQ(f.kind(), FaultKind::OffsetOutOfPool);
+    }
+    EXPECT_NO_THROW(b.flush(4096, 0)); // an empty range stays a no-op
+    EXPECT_NO_THROW(b.flush(4032, 64));
+    b.enablePersistenceDomain();
+    EXPECT_THROW(b.flush(4000, 200), Fault);
+}
+
+TEST(PersistenceDomain, TableGrowsThenFenceKeepsSurvivorsFindable)
+{
+    constexpr Bytes kLines = 300; // many times the initial index
+    Backing b(kLines * 64 + 40);
+    for (Bytes line = 0; line < kLines; ++line)
+        poke(b, line * 64, 1000 + line); // media content
+    b.enablePersistenceDomain();
+    for (Bytes line = 0; line < kLines; ++line)
+        poke(b, line * 64 + 8, 2000 + line);
+    ASSERT_EQ(b.pendingLines(), kLines);
+    for (Bytes line = 0; line < kLines; line += 3)
+        b.flush(line * 64, 64);
+    b.fence();
+    ASSERT_EQ(b.pendingLines(), kLines - kLines / 3);
+
+    // Rewriting a survivor must find its record and keep the saved
+    // media bytes; rewriting a dropped line saves the fenced bytes.
+    for (Bytes line = 0; line < kLines; ++line)
+        poke(b, line * 64 + 8, 3000 + line);
+    EXPECT_EQ(b.pendingLines(), kLines);
+    const auto image = b.crashImage(CrashMode::DiscardUnfenced);
+    for (Bytes line = 0; line < kLines; ++line) {
+        ASSERT_EQ(peek(image, line * 64), 1000 + line) << line;
+        ASSERT_EQ(peek(image, line * 64 + 8),
+                  line % 3 == 0 ? 2000 + line : 0u)
+            << line;
+    }
+
+    // Flush lookups hit every survivor.
+    b.flush(0, b.size());
+    b.fence();
+    EXPECT_EQ(b.pendingLines(), 0u);
+    const auto fenced = b.crashImage(CrashMode::DiscardUnfenced);
+    for (Bytes line = 0; line < kLines; ++line)
+        ASSERT_EQ(peek(fenced, line * 64 + 8), 3000 + line) << line;
+}
+
+TEST(PersistenceDomain, CopyKeepsItsOwnMediaBytes)
+{
+    Backing a(4096);
+    poke(a, 0, 1);
+    a.enablePersistenceDomain();
+    poke(a, 0, 2); // line 0 pending, media holds 1
+    Backing copy(a);
+    poke(a, 0, 3);
+    poke(a, 64, 4);
+    a.flush(0, 128);
+    a.fence();
+
+    EXPECT_EQ(peek(a.crashImage(CrashMode::DiscardUnfenced), 0), 3u);
+    EXPECT_EQ(read64(copy, 0), 2u);
+    EXPECT_EQ(copy.pendingLines(), 1u);
+    const auto image = copy.crashImage(CrashMode::DiscardUnfenced);
+    EXPECT_EQ(peek(image, 0), 1u);
+    EXPECT_EQ(peek(image, 64), 0u);
+
+    poke(copy, 0, 5); // and the other way round
+    EXPECT_EQ(read64(a, 0), 3u);
+    EXPECT_EQ(a.pendingLines(), 0u);
+}
+
+namespace
+{
+
+/**
+ * The full-copy persistence domain the sparse one replaced: a second
+ * image of the whole backing, taken when the domain comes up, into
+ * which every fence copies its flushed lines.
+ */
+class RefDomain
+{
+  public:
+    explicit RefDomain(Bytes size) : live_(size, 0) {}
+
+    void
+    enable()
+    {
+        if (enabled_)
+            return;
+        enabled_ = true;
+        durable_ = live_;
+        pending_.clear();
+    }
+
+    void
+    write(Bytes off, const std::uint8_t *src, Bytes n)
+    {
+        std::memcpy(live_.data() + off, src, n);
+        if (!enabled_ || n == 0)
+            return;
+        for (Bytes line = off / 64; line <= (off + n - 1) / 64; ++line)
+            pending_[line] = {false, epoch_};
+    }
+
+    void
+    flush(Bytes off, Bytes n)
+    {
+        if (!enabled_ || n == 0)
+            return;
+        for (Bytes line = off / 64; line <= (off + n - 1) / 64; ++line) {
+            auto it = pending_.find(line);
+            if (it != pending_.end())
+                it->second.flushed = true;
+        }
+    }
+
+    void
+    fence()
+    {
+        if (!enabled_)
+            return;
+        for (auto it = pending_.begin(); it != pending_.end();) {
+            if (it->second.flushed) {
+                persist(it->first, durable_);
+                it = pending_.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        ++epoch_;
+    }
+
+    void
+    grow(Bytes size)
+    {
+        if (size <= live_.size())
+            return;
+        live_.resize(size, 0);
+        if (enabled_)
+            durable_.resize(size, 0);
+    }
+
+    std::vector<std::uint8_t>
+    crashImage(CrashMode mode, std::uint64_t seed) const
+    {
+        if (!enabled_)
+            return live_;
+        std::vector<std::uint8_t> image = durable_;
+        for (const auto &[line, info] : pending_) {
+            bool keep = false;
+            switch (mode) {
+              case CrashMode::DiscardUnfenced:
+                break;
+              case CrashMode::RetainRandom:
+                keep = coin(line, seed);
+                break;
+              case CrashMode::RetainEpoch:
+                keep = info.epoch < epoch_;
+                break;
+              case CrashMode::RetainBoundedStale:
+                keep = epoch_ - info.epoch >= Backing::kStaleBound ||
+                       coin(line, seed);
+                break;
+            }
+            if (keep)
+                persist(line, image);
+        }
+        return image;
+    }
+
+    std::size_t pendingLines() const { return pending_.size(); }
+    Bytes size() const { return live_.size(); }
+
+  private:
+    struct Line
+    {
+        bool flushed;
+        std::uint64_t epoch;
+    };
+
+    /** The retention coin, restated: splitmix64 over (seed, line). */
+    static bool
+    coin(Bytes line, std::uint64_t seed)
+    {
+        std::uint64_t x = seed + 0x9E3779B97F4A7C15ULL * (line + 1);
+        x ^= x >> 30;
+        x *= 0xBF58476D1CE4E5B9ULL;
+        x ^= x >> 27;
+        x *= 0x94D049BB133111EBULL;
+        x ^= x >> 31;
+        return (x & 1) != 0;
+    }
+
+    void
+    persist(Bytes line, std::vector<std::uint8_t> &dst) const
+    {
+        const Bytes off = line * 64;
+        const Bytes n = std::min<Bytes>(64, live_.size() - off);
+        std::memcpy(dst.data() + off, live_.data() + off, n);
+    }
+
+    std::vector<std::uint8_t> live_;
+    std::vector<std::uint8_t> durable_;
+    std::map<Bytes, Line> pending_;
+    bool enabled_ = false;
+    std::uint64_t epoch_ = 0;
+};
+
+/**
+ * A random [off, off+len) inside @p size, biased to a hot region and
+ * to the partial last line.
+ */
+std::pair<Bytes, Bytes>
+randomRange(std::mt19937_64 &rng, Bytes size, Bytes max_len)
+{
+    if (rng() % 8 == 0) {
+        const Bytes len = 1 + rng() % std::min(max_len, size);
+        return {size - len, len};
+    }
+    const Bytes hot = std::min<Bytes>(size, 1024);
+    const Bytes off = rng() % 4 != 0 ? rng() % hot : rng() % size;
+    const Bytes len = rng() % (std::min(max_len, size - off) + 1);
+    return {off, len};
+}
+
+} // namespace
+
+TEST(PersistenceDomain, SparseDomainMatchesFullCopyReference)
+{
+    constexpr CrashMode kModes[] = {
+        CrashMode::DiscardUnfenced, CrashMode::RetainRandom,
+        CrashMode::RetainEpoch, CrashMode::RetainBoundedStale};
+    constexpr std::uint64_t kSeeds[] = {0, 7, 0xdeadbeef};
+
+    for (std::uint64_t run = 1; run <= 8; ++run) {
+        std::mt19937_64 rng(run);
+        const Bytes size0 = 700 + rng() % 700; // not line-aligned
+        Backing b(size0);
+        RefDomain ref(size0);
+        const unsigned enable_at = static_cast<unsigned>(rng() % 20);
+
+        for (unsigned step = 0; step < 400; ++step) {
+            SCOPED_TRACE("run " + std::to_string(run) + " step " +
+                         std::to_string(step));
+            if (step == enable_at) {
+                b.enablePersistenceDomain();
+                ref.enable();
+            }
+            const unsigned op = static_cast<unsigned>(rng() % 100);
+            if (op < 50) {
+                const auto [off, len] = randomRange(rng, b.size(), 200);
+                std::vector<std::uint8_t> buf(len);
+                for (auto &byte : buf)
+                    byte = static_cast<std::uint8_t>(rng());
+                b.write(off, buf.data(), len);
+                ref.write(off, buf.data(), len);
+            } else if (op < 75) {
+                const auto [off, len] = randomRange(rng, b.size(), 300);
+                b.flush(off, len);
+                ref.flush(off, len);
+            } else if (op < 90) {
+                b.fence();
+                ref.fence();
+            } else if (op < 95) {
+                const Bytes size = b.size() + rng() % 200;
+                b.grow(size);
+                ref.grow(size);
+            } else {
+                Backing copy(b);
+                b = Backing(0); // the copy must stand alone
+                b = copy;
+            }
+
+            ASSERT_EQ(b.pendingLines(), ref.pendingLines());
+            for (CrashMode mode : kModes) {
+                for (std::uint64_t seed : kSeeds) {
+                    ASSERT_EQ(b.crashImage(mode, seed),
+                              ref.crashImage(mode, seed))
+                        << crashModeName(mode) << " seed " << seed;
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
