@@ -1,10 +1,13 @@
 /**
  * @file
  * Machine: the composed timing model — cycle clock, branch predictor,
- * TLB and cache hierarchies, POLB, VALB, and the storeP unit — over
- * one simulated address space and pool manager. This is the
- * Snipersim-substitute; the UPR runtime (src/core/runtime.hh) drives
- * it with the memory events the instrumented workloads emit.
+ * TLB and cache hierarchies, POLB, VALB, the storeP unit and its
+ * store-queue forwarding — over one pool manager. This is the
+ * Snipersim-substitute and the only code that charges simulated
+ * time: the UPR runtime (src/core/runtime.hh) drives it with the
+ * memory events the instrumented workloads emit, and trace replay
+ * (arch/trace.hh) drives a fresh Machine with a recorded stream of
+ * the same events.
  */
 
 #ifndef UPR_ARCH_MACHINE_HH
@@ -14,11 +17,13 @@
 #include "arch/bypass.hh"
 #include "arch/cache.hh"
 #include "arch/params.hh"
+#include "arch/pending_storep_table.hh"
 #include "arch/polb.hh"
 #include "arch/storep_unit.hh"
 #include "arch/trace.hh"
 #include "arch/tlb.hh"
 #include "arch/valb.hh"
+#include "common/bits.hh"
 #include "mem/address_space.hh"
 #include "nvm/pool_manager.hh"
 #include "obs/metrics.hh"
@@ -30,12 +35,10 @@ namespace upr
 class Machine
 {
   public:
-    Machine(const MachineParams &params, AddressSpace &space,
-            const PoolManager &manager)
+    Machine(const MachineParams &params, const PoolManager &manager)
         // Components reference params_ (our copy), declared first so
         // it outlives them even when the caller passed a temporary.
-        : params_(params), space_(space),
-          caches_(params_), tlbs_(params_), bpred_(params_),
+        : params_(params), caches_(params_), tlbs_(params_), bpred_(params_),
           polb_(params_, manager), valb_(params_, manager),
           storePUnit_(params_), bypass_(params_.bypassEntries),
           stats_("core")
@@ -132,6 +135,31 @@ class Machine
     }
 
     /**
+     * A pointer load at @p va: memAccess, after any wait on an
+     * in-flight storeP to the same line. The store queue can usually
+     * forward the (unconverted) operand early; when forwarding
+     * misses — the load straddles the store or arrives at the wrong
+     * LSQ moment — the load waits for the storeP's translation.
+     * Forwarding coverage is modeled at 2 of 3 dependent loads. The
+     * wait is charged through tick(), so a trace carries it as fixed
+     * work.
+     * @return the access latency charged (the wait excluded)
+     */
+    Cycles
+    ptrLoad(SimAddr va)
+    {
+        if (!pendingStoreP_.empty()) {
+            Cycles ready = 0;
+            if (pendingStoreP_.take(roundDown(va, params_.cacheLineBytes),
+                                    ready) &&
+                ready > now_ && ++depLoads_ % 3 == 0) {
+                tick(ready - now_);
+            }
+        }
+        return memAccess(va, false, AccessKind::Load);
+    }
+
+    /**
      * One conditional branch with outcome @p taken at static @p site;
      * charges the misprediction penalty when the predictor is wrong.
      * @return true if mispredicted
@@ -165,31 +193,48 @@ class Machine
     }
 
     /**
-     * Hardware va2ra inside the storeP unit: VALB access. Returns the
-     * translation; its latency is reported for the FSM entry, not
-     * charged to the clock directly (the caller decides, because the
-     * storeP unit hides it).
+     * Hardware va2ra outside a storeP (a conversion the program
+     * asks for): VALB access. Advances the clock by the lookup/walk
+     * latency.
      */
-    Va2RaResult va2raHw(SimAddr va) { return valb_.va2ra(va); }
+    Va2RaResult
+    va2raHw(SimAddr va)
+    {
+        const Va2RaResult r = valb_.va2ra(va);
+        tick(r.latency);
+        return r;
+    }
 
     /**
-     * POLB translation latency for a storeP's Rd operand, again
-     * returned rather than charged (hidden inside the FSM entry).
+     * Translate a storeP's Rs operand inside the storeP unit: VALB
+     * va2ra for a virtual NVM address, POLB ra2va for a relative
+     * one. The latency is returned, not charged: the caller hands it
+     * to issueStoreP, whose FSM entry hides it.
      */
-    XlatResult rdXlatHw(PoolId id, PoolOffset off)
+    Va2RaResult storePRsXlat(SimAddr va) { return valb_.va2ra(va); }
+    XlatResult
+    storePRsXlat(PoolId id, PoolOffset off)
     {
         return polb_.ra2va(id, off);
     }
 
-    /** Issue a storeP through the FSM buffer; charges visible cost. */
+    /**
+     * Issue a storeP to @p va through the FSM buffer; charges the
+     * visible cost. With a nonzero @p rs_latency the store's line
+     * stays pending until the translation completes, for ptrLoad.
+     */
     void
-    issueStoreP(Cycles rs_latency, Cycles rd_latency)
+    issueStoreP(SimAddr va, Cycles rs_latency, Cycles rd_latency = 0)
     {
         if (trace_) {
             trace_->append({TraceEvent::Kind::StorePIssue, rs_latency,
                             rd_latency});
         }
         now_ += storePUnit_.issue(now_, rs_latency, rd_latency);
+        if (rs_latency > 0) {
+            pendingStoreP_.put(roundDown(va, params_.cacheLineBytes),
+                               now_ + rs_latency);
+        }
     }
 
     /**
@@ -210,7 +255,10 @@ class Machine
         bypass_.resetStats();
     }
 
-    /** Reset caches/TLBs/lookaside buffers (between bench phases). */
+    /**
+     * Reset caches/TLBs/lookaside buffers (between bench phases).
+     * In-flight storePs stay pending.
+     */
     void
     flushAll()
     {
@@ -221,7 +269,6 @@ class Machine
     }
 
     const MachineParams &params() const { return params_; }
-    AddressSpace &space() { return space_; }
 
     CacheHierarchy &caches() { return caches_; }
     TlbHierarchy &tlbs() { return tlbs_; }
@@ -236,7 +283,6 @@ class Machine
 
   private:
     const MachineParams params_;
-    AddressSpace &space_;
 
     Cycles now_ = 0;
 
@@ -258,6 +304,16 @@ class Machine
     Counter stores_;
     Counter storePs_;
     Counter nvmAccesses_;
+
+    /**
+     * In-flight storeP completions by cache line: a pointer load that
+     * hits a line whose storeP translation is still in the FSM
+     * buffer may wait for it — the memory-dependence path through
+     * which VALB latency becomes visible (Fig 14 sensitivity).
+     */
+    PendingStorePTable pendingStoreP_;
+    /** Dependent-load round-robin state for forwarding coverage. */
+    std::uint64_t depLoads_ = 0;
 
     /**
      * Observability federation: every architectural StatGroup joins

@@ -5,8 +5,8 @@
  * translation is still in the FSM buffer (paper Table I).
  */
 
-#ifndef UPR_CORE_PENDING_STOREP_TABLE_HH
-#define UPR_CORE_PENDING_STOREP_TABLE_HH
+#ifndef UPR_ARCH_PENDING_STOREP_TABLE_HH
+#define UPR_ARCH_PENDING_STOREP_TABLE_HH
 
 #include <array>
 #include <cstdint>
@@ -137,4 +137,4 @@ class PendingStorePTable
 
 } // namespace upr
 
-#endif // UPR_CORE_PENDING_STOREP_TABLE_HH
+#endif // UPR_ARCH_PENDING_STOREP_TABLE_HH

@@ -74,16 +74,6 @@ class StorePUnit
         return params_.storePIssueLatency + stall;
     }
 
-    /** Highest number of entries simultaneously busy so far. */
-    std::uint32_t
-    busyAt(Cycles now) const
-    {
-        std::uint32_t busy = 0;
-        for (Cycles c : completions_)
-            busy += c > now ? 1 : 0;
-        return busy;
-    }
-
     /** Zero the counters. */
     void resetStats() { stats_.resetAll(); }
 

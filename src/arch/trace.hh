@@ -4,22 +4,25 @@
  *
  * A Trace captures the machine-level event stream of one run: memory
  * accesses, branches with outcomes, storeP issues, and fixed-latency
- * work. Replaying the trace re-simulates the re-parameterizable
+ * work. Replay feeds the stream to a fresh Machine through the same
+ * entry points the live run calls, so the re-parameterizable
  * components (TLBs, caches, memory latencies, branch predictor,
- * storeP FSM buffer) under a *different* MachineParams without
- * re-running the workload — replaying under the original parameters
- * reproduces the original cycle count exactly (tested).
+ * storeP FSM buffer) are re-simulated under a *different*
+ * MachineParams without re-running the workload — and replaying
+ * under the original parameters reproduces the original counters
+ * exactly (tested).
  *
- * Translation latencies (POLB/VALB lookups) are carried as fixed
- * events: parameter sweeps over those structures still need a live
- * run (bench_sens_memory does that); sweeps over cache geometry,
- * memory latency, TLBs, and the predictor work from the trace alone.
+ * Translation latencies (POLB/VALB lookups), MMU-front probe delays
+ * and the wait of a pointer load on an in-flight storeP are carried
+ * as fixed events: parameter sweeps over those structures still need
+ * a live run (bench_sens_memory does that); sweeps over cache
+ * geometry, memory latency, TLBs, and the predictor work from the
+ * trace alone. A trace lives in memory only; there is no file format.
  */
 
 #ifndef UPR_ARCH_TRACE_HH
 #define UPR_ARCH_TRACE_HH
 
-#include <string>
 #include <vector>
 
 #include "arch/params.hh"
@@ -44,7 +47,7 @@ struct TraceEvent
     std::uint64_t b = 0;
 };
 
-/** A recorded event stream with binary (de)serialization. */
+/** A recorded event stream. */
 class Trace
 {
   public:
@@ -55,17 +58,11 @@ class Trace
     std::size_t size() const { return events_.size(); }
     void clear() { events_.clear(); }
 
-    /** Write the trace to a host file. */
-    void save(const std::string &path) const;
-
-    /** Read a trace from a host file. */
-    static Trace load(const std::string &path);
-
   private:
     std::vector<TraceEvent> events_;
 };
 
-/** Counters produced by a replay. */
+/** The replaying Machine's counters. */
 struct ReplayResult
 {
     Cycles cycles = 0;

@@ -35,7 +35,7 @@ Runtime::Runtime(Config config)
       space_(),
       heap_(space_),
       pools_(space_, config.placement, config.seed),
-      machine_(config.machine, space_, pools_),
+      machine_(config.machine, pools_),
       reuse_(config.machine.reuseBufferEntries),
       stats_("upr")
 {
@@ -297,7 +297,6 @@ Runtime::va2ra(SimAddr va, std::uint64_t site)
         if (config_.version == Version::Explicit)
             machine_.tick(config_.machine.explicitApiLatency);
         const Va2RaResult r = machine_.va2raHw(va);
-        machine_.tick(r.latency);
         return PtrRepr::makeRelative(r.id, r.offset);
       }
     }
@@ -360,14 +359,15 @@ Runtime::storePtr(SimAddr loc_va, PtrBits value, std::uint64_t site)
     }
 
     // HW version: the storeP instruction (Table I). Rs may need
-    // translation through VALB (va2ra) or POLB (ra2va); Rd here is
-    // already a virtual address, so its translation latency is zero.
+    // translation through VALB (va2ra) or POLB (ra2va) inside the
+    // FSM; Rd here is already a virtual address, so its translation
+    // latency is zero.
     Cycles rs_latency = 0;
     PtrBits out = value;
     if (!PtrRepr::isNull(value)) {
         if (dest_nvm && form == PtrForm::VirtualNvm) {
             const Va2RaResult r =
-                machine_.va2raHw(PtrRepr::toVa(value));
+                machine_.storePRsXlat(PtrRepr::toVa(value));
             ++absToRel_;
             rs_latency = r.latency;
             out = PtrRepr::makeRelative(r.id, r.offset);
@@ -384,24 +384,19 @@ Runtime::storePtr(SimAddr loc_va, PtrBits value, std::uint64_t site)
             // through the VALB. The stored bits are the same
             // canonical relative value either way.
             const Va2RaResult r =
-                machine_.va2raHw(reuseLookup(value));
+                machine_.storePRsXlat(reuseLookup(value));
             ++absToRel_;
             rs_latency = r.latency;
             upr_assert(PtrRepr::makeRelative(r.id, r.offset) == value);
         } else if (!dest_nvm && form == PtrForm::Relative) {
-            const XlatResult r = machine_.rdXlatHw(
+            const XlatResult r = machine_.storePRsXlat(
                 PtrRepr::poolOf(value), PtrRepr::offsetOf(value));
             ++relToAbs_;
             rs_latency = r.latency;
             out = PtrRepr::fromVa(r.value);
         }
     }
-    machine_.issueStoreP(rs_latency, 0);
-    if (rs_latency > 0) {
-        const SimAddr line =
-            roundDown(loc_va, config_.machine.cacheLineBytes);
-        pendingStoreP_.put(line, machine_.now() + rs_latency);
-    }
+    machine_.issueStoreP(loc_va, rs_latency);
     machine_.memAccess(loc_va, true, Machine::AccessKind::StoreP);
     space_.write<PtrBits>(loc_va, out);
     ptrAssignCycles_.record(machine_.now() - assign_t0);

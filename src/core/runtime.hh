@@ -33,7 +33,6 @@
 
 #include "arch/machine.hh"
 #include "common/stats.hh"
-#include "core/pending_storep_table.hh"
 #include "core/pointer_repr.hh"
 #include "mem/vmalloc.hh"
 #include "nvm/pool_manager.hh"
@@ -522,16 +521,6 @@ class Runtime
 
     std::vector<ReuseEntry> reuse_;
 
-    /**
-     * In-flight storeP completions by cache line (HW): a load that
-     * hits a line whose storeP translation is still in the FSM
-     * buffer must wait for it — the memory-dependence path through
-     * which VALB latency becomes visible (Fig 14 sensitivity).
-     */
-    PendingStorePTable pendingStoreP_;
-    /** Dependent-load round-robin state for forwarding coverage. */
-    std::uint64_t depLoads_ = 0;
-
     /** Internal pool backing libvmmalloc mode (0 = off). */
     PoolId vmPool_ = 0;
 
@@ -717,22 +706,7 @@ Runtime::resolveForAccess(PtrBits p, std::uint64_t site)
 inline PtrBits
 Runtime::loadPtr(SimAddr loc_va)
 {
-    // Memory dependence on an in-flight storeP. The store queue can
-    // usually forward the (unconverted) operand early; when
-    // forwarding misses — the load straddles the store or arrives at
-    // the wrong LSQ moment — it waits for the storeP's translation.
-    // Forwarding coverage is modeled at 2 of 3 dependent loads.
-    if (!pendingStoreP_.empty()) {
-        const SimAddr line =
-            roundDown(loc_va, config_.machine.cacheLineBytes);
-        Cycles ready = 0;
-        if (pendingStoreP_.take(line, ready)) {
-            if (ready > machine_.now() && ++depLoads_ % 3 == 0) {
-                machine_.tick(ready - machine_.now());
-            }
-        }
-    }
-    machine_.memAccess(loc_va, false, Machine::AccessKind::Load);
+    machine_.ptrLoad(loc_va);
     return space_.read<PtrBits>(loc_va);
 }
 

@@ -5,6 +5,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/diag.hh"
 #include "common/fault.hh"
 #include "faultinject/fault_stats.hh"
 #include "nvm/engine.hh"
@@ -17,20 +18,6 @@ namespace upr
 
 namespace
 {
-
-/** Minimal JSON string escaping (our diagnostics are plain ASCII). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
 
 void
 addIssue(CheckReport &rep, const char *component, std::string what,

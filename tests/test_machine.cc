@@ -22,7 +22,7 @@ class MachineTest : public ::testing::Test
 
 TEST_F(MachineTest, ClockStartsAtZeroAndTicks)
 {
-    Machine m(params, space, mgr);
+    Machine m(params, mgr);
     EXPECT_EQ(m.now(), 0u);
     m.tick(25);
     EXPECT_EQ(m.now(), 25u);
@@ -30,7 +30,7 @@ TEST_F(MachineTest, ClockStartsAtZeroAndTicks)
 
 TEST_F(MachineTest, MemAccessChargesTlbPlusCachePlusMemory)
 {
-    Machine m(params, space, mgr);
+    Machine m(params, mgr);
     const SimAddr dram = 0x2000;
     const Cycles cold = m.memAccess(dram, false,
                                     Machine::AccessKind::Load);
@@ -48,7 +48,7 @@ TEST_F(MachineTest, MemAccessChargesTlbPlusCachePlusMemory)
 
 TEST_F(MachineTest, NvmAccessCostsMore)
 {
-    Machine m(params, space, mgr);
+    Machine m(params, mgr);
     const Cycles dram = m.memAccess(0x3000, false,
                                     Machine::AccessKind::Load);
     const Cycles nvm = m.memAccess(mgr.baseOf(pool), false,
@@ -58,7 +58,7 @@ TEST_F(MachineTest, NvmAccessCostsMore)
 
 TEST_F(MachineTest, AccessKindsCounted)
 {
-    Machine m(params, space, mgr);
+    Machine m(params, mgr);
     m.memAccess(0x1000, false, Machine::AccessKind::Load);
     m.memAccess(0x1000, true, Machine::AccessKind::StoreD);
     m.memAccess(0x1000, true, Machine::AccessKind::StoreP);
@@ -71,7 +71,7 @@ TEST_F(MachineTest, AccessKindsCounted)
 
 TEST_F(MachineTest, Ra2VaHwChargesPolb)
 {
-    Machine m(params, space, mgr);
+    Machine m(params, mgr);
     const Cycles before = m.now();
     const SimAddr va = m.ra2vaHw(pool, 0x40);
     EXPECT_EQ(va, mgr.baseOf(pool) + 0x40);
@@ -85,16 +85,99 @@ TEST_F(MachineTest, Ra2VaHwChargesPolb)
 
 TEST_F(MachineTest, IssueStorePVisibleCostIsSmall)
 {
-    Machine m(params, space, mgr);
+    Machine m(params, mgr);
     const Cycles before = m.now();
-    m.issueStoreP(/*rs=*/30, /*rd=*/0);
+    m.issueStoreP(0x6000, /*rs=*/30, /*rd=*/0);
     // The 30-cycle translation hides in the FSM buffer.
     EXPECT_EQ(m.now() - before, params.storePIssueLatency);
 }
 
+TEST_F(MachineTest, Va2RaHwChargesValb)
+{
+    Machine m(params, mgr);
+    const Cycles before = m.now();
+    const Va2RaResult r = m.va2raHw(mgr.baseOf(pool) + 0x40);
+    EXPECT_EQ(r.id, pool);
+    EXPECT_EQ(r.offset, 0x40u);
+    // Miss: hit latency + walk, charged to the clock.
+    EXPECT_EQ(m.now() - before,
+              params.valbHitLatency + params.vawLatency);
+    const Cycles mid = m.now();
+    m.va2raHw(mgr.baseOf(pool) + 0x80);
+    EXPECT_EQ(m.now() - mid, params.valbHitLatency);
+}
+
+TEST_F(MachineTest, StorePRsXlatIsNotCharged)
+{
+    Machine m(params, mgr);
+    const Va2RaResult v = m.storePRsXlat(mgr.baseOf(pool) + 0x40);
+    const XlatResult p = m.storePRsXlat(pool, 0x40);
+    EXPECT_EQ(v.latency, params.valbHitLatency + params.vawLatency);
+    EXPECT_EQ(p.value, mgr.baseOf(pool) + 0x40);
+    EXPECT_EQ(p.latency, params.polbHitLatency + params.powLatency);
+    EXPECT_EQ(m.now(), 0u);
+}
+
+TEST_F(MachineTest, PointerLoadWaitsOnEveryThirdDependentStoreP)
+{
+    Machine m(params, mgr);
+    const SimAddr line = 0x7000;
+    // Issue a storeP to the line whose Rs translation takes kRs
+    // cycles; returns the cycle its translation completes.
+    constexpr Cycles kRs = 2000;
+    auto storeP = [&] {
+        m.issueStoreP(line + 8, kRs);
+        return m.now() + kRs;
+    };
+    // Cycles a pointer load at @p va waited beyond its own access.
+    auto wait = [&](SimAddr va) {
+        const Cycles before = m.now();
+        const Cycles lat = m.ptrLoad(va);
+        return m.now() - before - lat;
+    };
+
+    // Store-queue forwarding covers the first two dependent loads;
+    // the third waits for exactly the rest of the translation.
+    storeP();
+    EXPECT_EQ(wait(line), 0u);
+    storeP();
+    EXPECT_EQ(wait(line + 16), 0u);
+    Cycles ready = storeP();
+    m.tick(123);
+    EXPECT_EQ(ready - m.now(), kRs - 123);
+    EXPECT_EQ(wait(line + 56), kRs - 123);
+
+    // A load after the storeP completed neither waits nor uses up a
+    // forwarding slot: the next two dependent loads are forwarded.
+    m.issueStoreP(line, 5);
+    m.tick(100);
+    EXPECT_EQ(wait(line), 0u);
+    storeP();
+    EXPECT_EQ(wait(line), 0u);
+    storeP();
+    EXPECT_EQ(wait(line), 0u);
+
+    // Loads to other lines neither wait nor consume the pending
+    // entry, which also survives flushAll() and resetAllStats().
+    ready = storeP();
+    EXPECT_EQ(wait(line - 8), 0u);
+    EXPECT_EQ(wait(line + 64), 0u);
+    m.flushAll();
+    m.resetAllStats();
+    const Cycles left = ready - m.now();
+    EXPECT_GT(left, 0u);
+    EXPECT_EQ(wait(line), left);
+
+    // A storeP without a translation leaves nothing pending.
+    for (int i = 0; i < 3; ++i) {
+        m.issueStoreP(line, 0);
+        EXPECT_EQ(wait(line), 0u);
+    }
+}
+
 TEST_F(MachineTest, BranchChargesPenaltyOnMiss)
 {
-    Machine m(params, space, mgr);
+    Machine m(params, mgr);
     // Train then measure a predictable branch.
     for (int i = 0; i < 64; ++i)
         m.branch(9, true);
@@ -105,7 +188,7 @@ TEST_F(MachineTest, BranchChargesPenaltyOnMiss)
 
 TEST_F(MachineTest, ResetAllStatsKeepsWarmState)
 {
-    Machine m(params, space, mgr);
+    Machine m(params, mgr);
     m.memAccess(0x4000, false, Machine::AccessKind::Load);
     m.ra2vaHw(pool, 0);
     m.resetAllStats();
@@ -126,7 +209,7 @@ TEST_F(MachineTest, ResetAllStatsKeepsWarmState)
 
 TEST_F(MachineTest, FlushAllForcesColdAccesses)
 {
-    Machine m(params, space, mgr);
+    Machine m(params, mgr);
     m.memAccess(0x5000, false, Machine::AccessKind::Load);
     m.flushAll();
     const Cycles lat = m.memAccess(0x5000, false,

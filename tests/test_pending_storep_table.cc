@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pending_storep_table.hh"
+#include "arch/pending_storep_table.hh"
 
 using namespace upr;
 

@@ -18,22 +18,31 @@ TEST(StorePUnit, IssueCostIsOneCycleWhenFree)
 TEST(StorePUnit, TranslationLatencyHiddenInBuffer)
 {
     MachineParams p;
+    p.storePFsmEntries = 1;
     StorePUnit u(p);
     // Even a huge translation latency costs the pipeline one cycle...
     EXPECT_EQ(u.issue(0, 500, 0), p.storePIssueLatency);
-    // ...but the entry stays busy until cycle 501.
-    EXPECT_EQ(u.busyAt(100), 1u);
-    EXPECT_EQ(u.busyAt(502), 0u);
+    // ...but the entry stays busy until it completes: a storeP
+    // issued before then waits for it, one issued at it does not.
+    const Cycles done = p.storePIssueLatency + 500;
+    EXPECT_EQ(u.issue(100, 0, 0), p.storePIssueLatency + (done - 100));
+    StorePUnit later(p);
+    later.issue(0, 500, 0);
+    EXPECT_EQ(later.issue(done, 0, 0), p.storePIssueLatency);
 }
 
 TEST(StorePUnit, RsAndRdTranslateConcurrently)
 {
     MachineParams p;
+    p.storePFsmEntries = 1;
+    // Entry frees at issue + max(40, 10), not the sum.
+    const Cycles done = p.storePIssueLatency + 40;
     StorePUnit u(p);
     u.issue(0, 40, 10);
-    // Entry frees at issue + max(40, 10), not the sum.
-    EXPECT_EQ(u.busyAt(40), 1u);
-    EXPECT_EQ(u.busyAt(42), 0u);
+    EXPECT_EQ(u.issue(done - 1, 0, 0), p.storePIssueLatency + 1);
+    StorePUnit later(p);
+    later.issue(0, 40, 10);
+    EXPECT_EQ(later.issue(done, 0, 0), p.storePIssueLatency);
 }
 
 TEST(StorePUnit, FullBufferStalls)

@@ -1,38 +1,54 @@
-/** @file Tests for trace record/replay: exact-replay equivalence,
- * parameter re-simulation, and file round-trips. */
+/** @file Tests for trace record/replay: exact-replay equivalence
+ * and parameter re-simulation. */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "arch/trace.hh"
 #include "containers/rb_tree.hh"
-#include "temp_path.hh"
 
 using namespace upr;
 
 namespace
 {
 
-/** Record a small RB-tree workload; return (trace, recorded cycles). */
-std::pair<Trace, Cycles>
-recordWorkload(Version version, const MachineParams &params)
+/** A recorded run: its trace and the live Machine's counters. */
+struct Recorded
+{
+    Trace trace;
+    ReplayResult live;
+};
+
+/**
+ * Record a small RB-tree workload; with @p txn, every tenth insert
+ * runs in its own undo-log transaction.
+ */
+Recorded
+recordWorkload(Version version, const MachineParams &params,
+               MmuFrontModel front = MmuFrontModel::None,
+               bool txn = false)
 {
     Runtime::Config cfg;
     cfg.version = version;
     cfg.machine = params;
+    cfg.mmuFront = front;
     cfg.seed = 5;
     Runtime rt(cfg);
     RuntimeScope scope(rt);
 
-    Trace trace;
-    rt.machine().setTrace(&trace); // before the first event
+    Recorded rec;
+    rt.machine().setTrace(&rec.trace); // before the first event
 
     const PoolId pool = rt.createPool("t", 16 << 20);
     RbTree<std::uint64_t, std::uint64_t> tree(
         MemEnv::persistentEnv(rt, pool));
-    for (std::uint64_t i = 0; i < 400; ++i)
+    for (std::uint64_t i = 0; i < 400; ++i) {
+        const bool in_txn = txn && i % 10 == 0;
+        if (in_txn)
+            rt.beginTxn(pool);
         tree.insert(i * 13 % 1000, i);
+        if (in_txn)
+            rt.commitTxn();
+    }
     std::uint64_t sum = 0;
     for (std::uint64_t i = 0; i < 1000; ++i)
         sum += tree.find(i).value_or(0);
@@ -42,7 +58,28 @@ recordWorkload(Version version, const MachineParams &params)
     (void)sum;
 
     rt.machine().setTrace(nullptr);
-    return {std::move(trace), rt.machine().now()};
+    Machine &m = rt.machine();
+    rec.live.cycles = m.now();
+    rec.live.memAccesses = m.memAccesses();
+    rec.live.branches = m.bpred().branches();
+    rec.live.branchMisses = m.bpred().mispredicts();
+    rec.live.l1Misses = m.caches().l1().misses();
+    rec.live.storePs = m.storePUnit().issuedCount();
+    return rec;
+}
+
+/** Replay under the recording parameters matches the live run. */
+void
+expectReplayMatchesLive(const Recorded &rec, const MachineParams &params)
+{
+    ASSERT_GT(rec.trace.size(), 0u);
+    const ReplayResult r = replayTrace(rec.trace, params);
+    EXPECT_EQ(r.cycles, rec.live.cycles);
+    EXPECT_EQ(r.memAccesses, rec.live.memAccesses);
+    EXPECT_EQ(r.branches, rec.live.branches);
+    EXPECT_EQ(r.branchMisses, rec.live.branchMisses);
+    EXPECT_EQ(r.l1Misses, rec.live.l1Misses);
+    EXPECT_EQ(r.storePs, rec.live.storePs);
 }
 
 } // namespace
@@ -53,19 +90,31 @@ TEST(Trace, ReplaySameParamsReproducesCyclesExactly)
                       Version::Explicit}) {
         SCOPED_TRACE(versionName(v));
         MachineParams params;
-        auto [trace, recorded_cycles] = recordWorkload(v, params);
-        ASSERT_GT(trace.size(), 0u);
+        expectReplayMatchesLive(recordWorkload(v, params), params);
+    }
+}
 
-        const ReplayResult replayed = replayTrace(trace, params);
-        EXPECT_EQ(replayed.cycles, recorded_cycles);
+TEST(Trace, ReplayReproducesPredictedMmuFrontAndTransactions)
+{
+    MachineParams params;
+    {
+        SCOPED_TRACE("HW, predicted MMU front");
+        expectReplayMatchesLive(
+            recordWorkload(Version::Hw, params, MmuFrontModel::Predicted),
+            params);
+    }
+    for (Version v : {Version::Sw, Version::Hw}) {
+        SCOPED_TRACE(std::string(versionName(v)) + ", transactional");
+        expectReplayMatchesLive(
+            recordWorkload(v, params, MmuFrontModel::None, true),
+            params);
     }
 }
 
 TEST(Trace, ReplayCountsMatchSemantics)
 {
     MachineParams params;
-    auto [trace, cycles] = recordWorkload(Version::Hw, params);
-    (void)cycles;
+    const Trace trace = recordWorkload(Version::Hw, params).trace;
     const ReplayResult r = replayTrace(trace, params);
     EXPECT_GT(r.memAccesses, 0u);
     EXPECT_GT(r.branches, 0u);
@@ -77,8 +126,7 @@ TEST(Trace, ReplayCountsMatchSemantics)
 TEST(Trace, ReplayWithSlowerNvmCostsMore)
 {
     MachineParams base;
-    auto [trace, cycles] = recordWorkload(Version::Hw, base);
-    (void)cycles;
+    const Trace trace = recordWorkload(Version::Hw, base).trace;
 
     MachineParams slow = base;
     slow.nvmLatency = 960;
@@ -93,8 +141,7 @@ TEST(Trace, ReplayWithSlowerNvmCostsMore)
 TEST(Trace, ReplayWithTinyCachesMissesMore)
 {
     MachineParams base;
-    auto [trace, cycles] = recordWorkload(Version::Hw, base);
-    (void)cycles;
+    const Trace trace = recordWorkload(Version::Hw, base).trace;
 
     MachineParams tiny = base;
     tiny.l1Size = 1024;
@@ -104,39 +151,6 @@ TEST(Trace, ReplayWithTinyCachesMissesMore)
     const ReplayResult small = replayTrace(trace, tiny);
     EXPECT_GT(small.l1Misses, big.l1Misses);
     EXPECT_GT(small.cycles, big.cycles);
-}
-
-TEST(Trace, SaveLoadRoundTrip)
-{
-    MachineParams params;
-    auto [trace, cycles] = recordWorkload(Version::Hw, params);
-    (void)cycles;
-
-    const std::string path = test::tempPath("t.trace");
-    trace.save(path);
-    const Trace loaded = Trace::load(path);
-    ASSERT_EQ(loaded.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); i += 997) {
-        EXPECT_EQ(static_cast<int>(loaded.events()[i].kind),
-                  static_cast<int>(trace.events()[i].kind));
-        EXPECT_EQ(loaded.events()[i].a, trace.events()[i].a);
-        EXPECT_EQ(loaded.events()[i].b, trace.events()[i].b);
-    }
-    // A loaded trace replays identically.
-    EXPECT_EQ(replayTrace(loaded, params).cycles,
-              replayTrace(trace, params).cycles);
-    std::remove(path.c_str());
-}
-
-TEST(Trace, LoadRejectsGarbage)
-{
-    const std::string path = test::tempPath("garbage.trace");
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a trace", f);
-    std::fclose(f);
-    EXPECT_THROW(Trace::load(path), Fault);
-    std::remove(path.c_str());
 }
 
 TEST(Trace, DetachedSinkRecordsNothing)
