@@ -19,6 +19,10 @@
 #   4p. the repository benchmark's oracles: one short run of every
 #      perfbench workload (table replays, crash-image recovery, exact
 #      counter repeats), failing on any non-zero exit;
+#   4pt. one 1-second kv_read_latest perfbench run built with
+#      ThreadSanitizer (its own build directory): the one place the
+#      timing model's companion thread runs inside perfbench itself;
+#      every oracle must pass and TSan must stay silent;
 #   5. observability overhead gate: with event tracing compiled in,
 #      a traced run and an untraced run of the quick bench must agree
 #      on every simulated counter (tracing observes the model, never
@@ -92,6 +96,23 @@ for w in kv_read_latest kv_update_durable ir_exec; do
     }
     echo "perfbench $w: every oracle passed"
 done
+
+echo "==> tier 4pt: perfbench kv_read_latest under ThreadSanitizer"
+out=$(CARGO_TARGET_DIR="$(pwd)/.bench_build_tsan" \
+    CXXFLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
+    LDFLAGS="-fsanitize=thread" TSAN_OPTIONS="halt_on_error=1" \
+    python3 perfbench/run.py --workload kv_read_latest --seed 1 \
+    --seconds 1 --trace 0 2>&1) || {
+    echo "$out" >&2
+    echo "ci: perfbench kv_read_latest failed under TSan" >&2
+    exit 1
+}
+if echo "$out" | grep -q "WARNING: ThreadSanitizer"; then
+    echo "$out" >&2
+    echo "ci: ThreadSanitizer reported a race in perfbench" >&2
+    exit 1
+fi
+echo "perfbench kv_read_latest (TSan): every oracle passed, no report"
 
 echo "==> tier 5: observability overhead gate"
 GATE_OUT=$(mktemp -d)

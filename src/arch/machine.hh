@@ -4,10 +4,20 @@
  * TLB and cache hierarchies, POLB, VALB, the storeP unit and its
  * store-queue forwarding — over one pool manager. This is the
  * Snipersim-substitute and the only code that charges simulated
- * time: the UPR runtime (src/core/runtime.hh) drives it with the
- * memory events the instrumented workloads emit, and trace replay
+ * time. The UPR runtime (src/core/runtime.hh) is its Pin-style
+ * frontend: it emits the memory events the instrumented workloads
+ * make, either as direct calls or, once a plain Runtime has run long
+ * enough, as records through a ring to a companion thread that calls
+ * apply() on its behalf (arch/model_companion.hh). Trace replay
  * (arch/trace.hh) drives a fresh Machine with a recorded stream of
- * the same events.
+ * the same events through the same apply().
+ *
+ * The POLB and VALB are the exception: their lookups return the
+ * translated address and can fault, so the frontend probes them
+ * synchronously (xlat) and only the latency reaches the clock, as a
+ * tick or inside a storeP. Nothing else in here raises a fault (a
+ * Trace append can only run out of memory), so a frontend fault
+ * leaves every event already emitted valid.
  */
 
 #ifndef UPR_ARCH_MACHINE_HH
@@ -24,6 +34,7 @@
 #include "arch/tlb.hh"
 #include "arch/valb.hh"
 #include "common/bits.hh"
+#include "obs/histogram.hh"
 #include "mem/address_space.hh"
 #include "nvm/pool_manager.hh"
 #include "obs/metrics.hh"
@@ -66,7 +77,7 @@ class Machine
     {
         now_ += n;
         if (trace_ && n > 0)
-            trace_->append({TraceEvent::Kind::Tick, n, 0});
+            trace_->append({TraceEvent::Kind::Tick, n});
     }
 
     /**
@@ -121,7 +132,7 @@ class Machine
         if (front > 0) {
             now_ += front;
             if (trace_)
-                trace_->append({TraceEvent::Kind::Tick, front, 0});
+                trace_->append({TraceEvent::Kind::Tick, front});
         }
         if (trace_) {
             trace_->append({TraceEvent::Kind::MemAccess, va,
@@ -178,44 +189,37 @@ class Machine
     }
 
     /**
-     * Hardware ra2va at effective-address generation: POLB access.
-     * Advances the clock by the lookup/walk latency.
+     * Uncharged hardware translations: VALB va2ra for a virtual NVM
+     * address, POLB ra2va for a relative one. The caller charges the
+     * returned latency — as a tick at effective-address generation or
+     * for a conversion the program asks for, or through issueStoreP,
+     * whose FSM entry hides a storeP's Rs translation. The frontend
+     * calls these on its own core (they return an address and may
+     * fault); only the latency reaches the model.
      */
+    Va2RaResult xlat(SimAddr va) { return valb_.va2ra(va); }
+    XlatResult
+    xlat(PoolId id, PoolOffset off)
+    {
+        return polb_.ra2va(id, off);
+    }
+
+    /** POLB ra2va that charges its latency to the clock. */
     SimAddr
     ra2vaHw(PoolId id, PoolOffset off)
     {
-        const XlatResult r = polb_.ra2va(id, off);
-        now_ += r.latency;
-        // Translation latency replays as fixed work (see trace.hh).
-        if (trace_)
-            trace_->append({TraceEvent::Kind::Tick, r.latency, 0});
+        const XlatResult r = xlat(id, off);
+        tick(r.latency);
         return r.value;
     }
 
-    /**
-     * Hardware va2ra outside a storeP (a conversion the program
-     * asks for): VALB access. Advances the clock by the lookup/walk
-     * latency.
-     */
+    /** VALB va2ra that charges its latency to the clock. */
     Va2RaResult
     va2raHw(SimAddr va)
     {
-        const Va2RaResult r = valb_.va2ra(va);
+        const Va2RaResult r = xlat(va);
         tick(r.latency);
         return r;
-    }
-
-    /**
-     * Translate a storeP's Rs operand inside the storeP unit: VALB
-     * va2ra for a virtual NVM address, POLB ra2va for a relative
-     * one. The latency is returned, not charged: the caller hands it
-     * to issueStoreP, whose FSM entry hides it.
-     */
-    Va2RaResult storePRsXlat(SimAddr va) { return valb_.va2ra(va); }
-    XlatResult
-    storePRsXlat(PoolId id, PoolOffset off)
-    {
-        return polb_.ra2va(id, off);
     }
 
     /**
@@ -227,8 +231,8 @@ class Machine
     issueStoreP(SimAddr va, Cycles rs_latency, Cycles rd_latency = 0)
     {
         if (trace_) {
-            trace_->append({TraceEvent::Kind::StorePIssue, rs_latency,
-                            rd_latency});
+            trace_->append(
+                {TraceEvent::Kind::StorePIssue, rs_latency, rd_latency});
         }
         now_ += storePUnit_.issue(now_, rs_latency, rd_latency);
         if (rs_latency > 0) {
@@ -236,6 +240,87 @@ class Machine
                                now_ + rs_latency);
         }
     }
+
+    /**
+     * Simulated-cycle spans the frontend brackets with begin/end
+     * marks; each completed span records its cycles into a
+     * histogram. A span whose end never comes (the frontend faulted
+     * inside it) records nothing: the next begin starts afresh.
+     */
+    enum class Span : std::uint8_t
+    {
+        Check,  //!< one software dynamic check
+        Assign, //!< one pointerAssignment / storeP
+    };
+
+    void spanBegin(Span s) { spanT0_[unsigned(s)] = now_; }
+
+    void
+    spanEnd(Span s)
+    {
+        spanCycles_[unsigned(s)].record(now_ - spanT0_[unsigned(s)]);
+    }
+
+    /** Cycles per completed span of kind @p s. */
+    const obs::LatencyHistogram &
+    spanHistogram(Span s) const
+    {
+        return spanCycles_[unsigned(s)];
+    }
+
+    /** Empty both span histograms. */
+    void
+    resetSpanHistograms()
+    {
+        for (obs::LatencyHistogram &h : spanCycles_)
+            h.reset();
+    }
+
+    /**
+     * Perform one model event: the call it encodes, exactly as the
+     * frontend would have made it. Trace replay and the companion
+     * thread both come through here.
+     */
+    void
+    apply(const TraceEvent &e)
+    {
+        using Kind = TraceEvent::Kind;
+        switch (e.kind()) {
+          case Kind::MemAccess:
+            memAccess(e.a, (e.b() >> 8) & 1,
+                      static_cast<AccessKind>(e.b() & 0xff));
+            break;
+          case Kind::Branch:
+            branch(e.a, e.b() != 0);
+            break;
+          case Kind::Tick:
+            tick(e.a);
+            break;
+          case Kind::StorePIssue:
+            // A trace carries no store address: the forwarding wait
+            // a pending line causes is already recorded as a Tick.
+            issueStoreP(kNullAddr, e.a, e.b());
+            break;
+          case Kind::PtrLoad:
+            ptrLoad(e.a);
+            break;
+          case Kind::StoreP:
+            issueStoreP(e.a, e.b() & kStorePLatencyMask,
+                        e.b() >> kStorePLatencyBits);
+            break;
+          case Kind::SpanBegin:
+            spanBegin(static_cast<Span>(e.a));
+            break;
+          case Kind::SpanEnd:
+            spanEnd(static_cast<Span>(e.a));
+            break;
+        }
+    }
+
+    /** Width of each latency in a StoreP event's payload. */
+    static constexpr unsigned kStorePLatencyBits = 28;
+    static constexpr Cycles kStorePLatencyMask =
+        (Cycles{1} << kStorePLatencyBits) - 1;
 
     /**
      * Zero every statistic in the machine without disturbing the
@@ -284,14 +369,17 @@ class Machine
   private:
     const MachineParams params_;
 
-    Cycles now_ = 0;
+    // Cache-line boundaries: with a companion thread the POLB and
+    // VALB are probed by the frontend's core and everything else is
+    // written by the companion's, so they share no line.
+    alignas(64) Cycles now_ = 0;
 
     CacheHierarchy caches_;
     TlbHierarchy tlbs_;
     BranchPredictor bpred_;
-    Polb polb_;
+    alignas(64) Polb polb_;
     Valb valb_;
-    StorePUnit storePUnit_;
+    alignas(64) StorePUnit storePUnit_;
     BypassPredictor bypass_;
     MmuFrontModel mmuFront_ = MmuFrontModel::None;
 
@@ -315,6 +403,10 @@ class Machine
     /** Dependent-load round-robin state for forwarding coverage. */
     std::uint64_t depLoads_ = 0;
 
+    /** Open span start times and completed-span cycles, by Span. */
+    Cycles spanT0_[2] = {};
+    obs::LatencyHistogram spanCycles_[2];
+
     /**
      * Observability federation: every architectural StatGroup joins
      * the process-wide MetricsRegistry for the machine's lifetime.
@@ -332,6 +424,10 @@ class Machine
     obs::ScopedMetricsGroup obsValb_{valb_.stats()};
     obs::ScopedMetricsGroup obsStoreP_{storePUnit_.stats()};
     obs::ScopedMetricsGroup obsBypass_{bypass_.stats()};
+    obs::ScopedMetricsHistogram obsCheckCycles_{
+        "upr.checkCycles", spanCycles_[unsigned(Span::Check)]};
+    obs::ScopedMetricsHistogram obsPtrAssignCycles_{
+        "upr.ptrAssignCycles", spanCycles_[unsigned(Span::Assign)]};
 };
 
 } // namespace upr

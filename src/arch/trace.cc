@@ -15,25 +15,8 @@ replayTrace(const Trace &trace, const MachineParams &params)
     PoolManager pools(space);
     Machine m(params, pools);
 
-    for (const TraceEvent &e : trace.events()) {
-        switch (e.kind) {
-          case TraceEvent::Kind::MemAccess:
-            m.memAccess(e.a, (e.b >> 8) & 1,
-                        static_cast<Machine::AccessKind>(e.b & 0xff));
-            break;
-          case TraceEvent::Kind::Branch:
-            m.branch(e.a, e.b != 0);
-            break;
-          case TraceEvent::Kind::Tick:
-            m.tick(e.a);
-            break;
-          case TraceEvent::Kind::StorePIssue:
-            // The trace carries no store address: the forwarding wait
-            // a pending line causes is already recorded as a Tick.
-            m.issueStoreP(kNullAddr, e.a, e.b);
-            break;
-        }
-    }
+    for (const TraceEvent &e : trace.events())
+        m.apply(e);
 
     ReplayResult res;
     res.cycles = m.now();

@@ -436,7 +436,7 @@ FastExecutor::exec(const LoweredFunction &lf,
     };
     auto do_add = [&](const LoweredInst &ad) {
         if constexpr (Tier == ExecTier::Model)
-            rt_.machine().tick(1);
+            rt_.modelTick(1);
         R[ad.result] = R[ad.a] + R[ad.b];
     };
 
@@ -545,7 +545,7 @@ FastExecutor::exec(const LoweredFunction &lf,
         if (in->cmp1 != CmpMode::Int)
             b = cmpNorm<Tier>(f, b, in->cmp1, in->site + 2);
         if constexpr (Tier == ExecTier::Model)
-            rt_.machine().tick(1);
+            rt_.modelTick(1);
         R[in->result] = a == b;
         UPR_NEXT();
     }
@@ -557,7 +557,7 @@ FastExecutor::exec(const LoweredFunction &lf,
         if (in->cmp1 != CmpMode::Int)
             b = cmpNorm<Tier>(f, b, in->cmp1, in->site + 2);
         if constexpr (Tier == ExecTier::Model)
-            rt_.machine().tick(1);
+            rt_.modelTick(1);
         R[in->result] = a < b;
         UPR_NEXT();
     }
@@ -567,20 +567,20 @@ FastExecutor::exec(const LoweredFunction &lf,
     }
     UPR_OP(Sub) : {
         if constexpr (Tier == ExecTier::Model)
-            rt_.machine().tick(1);
+            rt_.modelTick(1);
         R[in->result] = R[in->a] - R[in->b];
         UPR_NEXT();
     }
     UPR_OP(Mul) : {
         if constexpr (Tier == ExecTier::Model)
-            rt_.machine().tick(1);
+            rt_.modelTick(1);
         R[in->result] = R[in->a] * R[in->b];
         UPR_NEXT();
     }
     UPR_OP(Br) : {
         const bool taken = R[in->a] != 0;
         if constexpr (Tier == ExecTier::Model)
-            rt_.machine().branch(in->site, taken);
+            rt_.modelBranch(in->site, taken);
         if (taken)
             take_edge(in->m0Begin, in->m0End, in->target0, in->len0);
         else
@@ -740,6 +740,9 @@ FastExecutor::call(const std::string &name,
     std::vector<std::uint64_t> regs(lf.numRegs, 0);
     for (std::size_t i = 0; i < args.size(); ++i)
         regs[lf.fn->paramValues[i]] = args[i];
+    // Per-instruction events cost about as much to interpret as to
+    // push, so the model stays inline for the call.
+    Runtime::InlineModelScope inlineModel(rt_);
 
     // Tally dispatches (faulting runs included) into the exec group.
     const std::uint64_t start = instructionCount();

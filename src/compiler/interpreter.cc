@@ -170,6 +170,8 @@ Interpreter::call(const std::string &name,
     frame.regs.assign(fn.numValues(), 0);
     for (std::size_t i = 0; i < args.size(); ++i)
         frame.regs[fn.paramValues[i]] = args[i];
+    // The model stays inline for the call (see FastExecutor::call).
+    Runtime::InlineModelScope inlineModel(rt_);
     return exec(frame, 0);
 }
 
@@ -302,29 +304,29 @@ Interpreter::exec(Frame &frame, std::uint32_t depth)
                     a = cmpOperand(a, ip.cmp0Dynamic, site);
                 if (fn.valueTypes[in.operands[1]] == Type::Ptr)
                     b = cmpOperand(b, ip.cmp1Dynamic, site + 2);
-                rt_.machine().tick(1);
+                rt_.modelTick(1);
                 frame.regs[in.result] =
                     in.op == Op::Eq ? (a == b) : (a < b);
                 break;
               }
               case Op::Add:
-                rt_.machine().tick(1);
+                rt_.modelTick(1);
                 frame.regs[in.result] = frame.regs[in.operands[0]] +
                                         frame.regs[in.operands[1]];
                 break;
               case Op::Sub:
-                rt_.machine().tick(1);
+                rt_.modelTick(1);
                 frame.regs[in.result] = frame.regs[in.operands[0]] -
                                         frame.regs[in.operands[1]];
                 break;
               case Op::Mul:
-                rt_.machine().tick(1);
+                rt_.modelTick(1);
                 frame.regs[in.result] = frame.regs[in.operands[0]] *
                                         frame.regs[in.operands[1]];
                 break;
               case Op::Br: {
                 const bool taken = frame.regs[in.operands[0]] != 0;
-                rt_.machine().branch(site, taken);
+                rt_.modelBranch(site, taken);
                 prev = cur;
                 cur = taken ? in.target0 : in.target1;
                 goto next_block;

@@ -57,6 +57,63 @@ Runtime::Runtime(Config config)
                            "relative-to-virtual conversions");
     stats_.registerCounter("storePOps", storePOps_,
                            "pointer stores through storeP semantics");
+    obs::MetricsRegistry::instance().addSyncHook(this,
+                                                 [this] { syncModel(); });
+}
+
+Runtime::~Runtime()
+{
+    obs::MetricsRegistry::instance().removeSyncHook(this);
+    // Members torn down after this (a transaction, the redo batch)
+    // may still emit events: they go inline, to a Machine that
+    // outlives them.
+    keepModelInline();
+}
+
+// ----------------------------------------------------------------------
+// Where the model runs
+// ----------------------------------------------------------------------
+
+void
+Runtime::syncModel() const
+{
+    if (companion_)
+        companion_->drain();
+}
+
+void
+Runtime::keepModelInline()
+{
+    untilCompanion_ = ~std::uint64_t{0};
+    ring_ = nullptr;
+    companion_.reset();
+}
+
+void
+Runtime::tryStartCompanion()
+{
+    untilCompanion_ = kCompanionAfterEvents;
+    // Inside an executor call the model stays inline; a companion
+    // that already exists resumes when the call returns.
+    if (inlineDepth_ > 0 || companion_)
+        return;
+    companion_ = ModelCompanion::start(machine_);
+    ring_ = companion_.get();
+}
+
+void
+Runtime::modelStoreP(SimAddr va, Cycles rs_latency)
+{
+    if (!ring_) {
+        machine_.issueStoreP(va, rs_latency);
+        countInlineEvent();
+    } else if (rs_latency <= Machine::kStorePLatencyMask) {
+        ring_->push({TraceEvent::Kind::StoreP, va, rs_latency});
+    } else {
+        // Too long for the record: catch up and make the call here.
+        ring_->drain();
+        machine_.issueStoreP(va, rs_latency);
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -66,7 +123,7 @@ Runtime::Runtime(Config config)
 SimAddr
 Runtime::mallocBytes(Bytes n)
 {
-    machine_.tick(config_.machine.allocatorLatency);
+    modelTick(config_.machine.allocatorLatency);
     if (vmPool_ != 0) {
         // libvmmalloc mode: malloc transparently allocates on NVM
         // and hands back an ordinary (virtual) address — the calling
@@ -79,7 +136,7 @@ Runtime::mallocBytes(Bytes n)
 void
 Runtime::freeBytes(SimAddr va)
 {
-    machine_.tick(config_.machine.allocatorLatency);
+    modelTick(config_.machine.allocatorLatency);
     if (Layout::isNvm(va)) {
         pools_.pfree(va);
         return;
@@ -90,7 +147,7 @@ Runtime::freeBytes(SimAddr va)
 PtrBits
 Runtime::pmallocBits(PoolId pool, Bytes n)
 {
-    machine_.tick(config_.machine.allocatorLatency);
+    modelTick(config_.machine.allocatorLatency);
     if (config_.version == Version::Volatile) {
         // The Volatile reference version has no NVM at all: persistent
         // allocations degrade to ordinary heap allocations.
@@ -104,7 +161,7 @@ Runtime::pmallocBits(PoolId pool, Bytes n)
 void
 Runtime::pfreeBits(PtrBits p)
 {
-    machine_.tick(config_.machine.allocatorLatency);
+    modelTick(config_.machine.allocatorLatency);
     if (config_.version == Version::Volatile) {
         heap_.deallocate(PtrRepr::toVa(p));
         return;
@@ -179,7 +236,7 @@ Runtime::beginTxn(PoolId pool)
             return;
         txnLogging_ = true;
         if (txnLogHint_ == TxnLogHint::Log) {
-            machine_.tick(config_.machine.txnLogLatency);
+            modelTick(config_.machine.txnLogLatency);
             activeTxn_->recordWrite(static_cast<PoolOffset>(off), n);
         } else {
             // Proven elidable: no pre-image, no fence, no log
@@ -254,14 +311,14 @@ Runtime::flushGroup()
 bool
 Runtime::swCheck(std::uint64_t site, bool outcome)
 {
-    const Cycles t0 = machine_.now();
+    // The span's simulated-cycle cost (ALU + branch, including a
+    // possible misprediction penalty) is deterministic, so the bench
+    // goldens can assert on the check histogram.
+    modelSpan(TraceEvent::Kind::SpanBegin, Machine::Span::Check);
     ++dynChecks_;
-    machine_.tick(config_.machine.swCheckAluLatency);
-    machine_.branch(site, outcome);
-    // Simulated-cycle cost of this check (ALU + branch, including a
-    // possible misprediction penalty) — deterministic, so the bench
-    // goldens can assert on the histogram.
-    checkCycles_.record(machine_.now() - t0);
+    modelTick(config_.machine.swCheckAluLatency);
+    modelBranch(site, outcome);
+    modelSpan(TraceEvent::Kind::SpanEnd, Machine::Span::Check);
     return outcome;
 }
 
@@ -272,7 +329,7 @@ Runtime::swLookupBranches(std::uint64_t key, std::uint64_t site)
     // binary search); its branches turn on address bits and are
     // data-dependent, so they predict poorly across many objects.
     for (unsigned i = 0; i < config_.machine.swConvertBranches; ++i)
-        machine_.branch(site + i, bit(key, 4 + 5 * i));
+        modelBranch(site + i, bit(key, 4 + 5 * i));
 }
 
 
@@ -287,7 +344,7 @@ Runtime::va2ra(SimAddr va, std::uint64_t site)
       case Version::Volatile:
         upr_panic("va2ra under the Volatile version");
       case Version::Sw: {
-        machine_.tick(config_.machine.swConvertLatency);
+        modelTick(config_.machine.swConvertLatency);
         swLookupBranches(va, site * 16 + 13);
         auto [id, off] = pools_.va2ra(va);
         return PtrRepr::makeRelative(id, off);
@@ -295,8 +352,9 @@ Runtime::va2ra(SimAddr va, std::uint64_t site)
       case Version::Hw:
       case Version::Explicit: {
         if (config_.version == Version::Explicit)
-            machine_.tick(config_.machine.explicitApiLatency);
-        const Va2RaResult r = machine_.va2raHw(va);
+            modelTick(config_.machine.explicitApiLatency);
+        const Va2RaResult r = machine_.xlat(va);
+        modelTick(r.latency);
         return PtrRepr::makeRelative(r.id, r.offset);
       }
     }
@@ -317,7 +375,8 @@ Runtime::storePtr(SimAddr loc_va, PtrBits value, std::uint64_t site)
         return;
     }
 
-    const Cycles assign_t0 = machine_.now();
+    // A fault inside the span leaves it without an end: unrecorded.
+    modelSpan(TraceEvent::Kind::SpanBegin, Machine::Span::Assign);
     const bool dest_nvm =
         PtrRepr::determineX(loc_va) == LocKind::Nvm;
     const PtrForm form = PtrRepr::determineY(value);
@@ -327,9 +386,9 @@ Runtime::storePtr(SimAddr loc_va, PtrBits value, std::uint64_t site)
         // Explicit programs store object IDs directly; no conversion
         // is ever needed (nor any check: the types are distinct).
         // (Pre-image already logged above when in a transaction.)
-        machine_.memAccess(loc_va, true, Machine::AccessKind::StoreD);
+        modelMemAccess(loc_va, true, Machine::AccessKind::StoreD);
         space_.write<PtrBits>(loc_va, value);
-        ptrAssignCycles_.record(machine_.now() - assign_t0);
+        modelSpan(TraceEvent::Kind::SpanEnd, Machine::Span::Assign);
         return;
     }
 
@@ -352,9 +411,9 @@ Runtime::storePtr(SimAddr loc_va, PtrBits value, std::uint64_t site)
                 out = PtrRepr::fromVa(ra2va(value, site));
             }
         }
-        machine_.memAccess(loc_va, true, Machine::AccessKind::StoreD);
+        modelMemAccess(loc_va, true, Machine::AccessKind::StoreD);
         space_.write<PtrBits>(loc_va, out);
-        ptrAssignCycles_.record(machine_.now() - assign_t0);
+        modelSpan(TraceEvent::Kind::SpanEnd, Machine::Span::Assign);
         return;
     }
 
@@ -367,7 +426,7 @@ Runtime::storePtr(SimAddr loc_va, PtrBits value, std::uint64_t site)
     if (!PtrRepr::isNull(value)) {
         if (dest_nvm && form == PtrForm::VirtualNvm) {
             const Va2RaResult r =
-                machine_.storePRsXlat(PtrRepr::toVa(value));
+                machine_.xlat(PtrRepr::toVa(value));
             ++absToRel_;
             rs_latency = r.latency;
             out = PtrRepr::makeRelative(r.id, r.offset);
@@ -384,22 +443,22 @@ Runtime::storePtr(SimAddr loc_va, PtrBits value, std::uint64_t site)
             // through the VALB. The stored bits are the same
             // canonical relative value either way.
             const Va2RaResult r =
-                machine_.storePRsXlat(reuseLookup(value));
+                machine_.xlat(reuseLookup(value));
             ++absToRel_;
             rs_latency = r.latency;
             upr_assert(PtrRepr::makeRelative(r.id, r.offset) == value);
         } else if (!dest_nvm && form == PtrForm::Relative) {
-            const XlatResult r = machine_.storePRsXlat(
+            const XlatResult r = machine_.xlat(
                 PtrRepr::poolOf(value), PtrRepr::offsetOf(value));
             ++relToAbs_;
             rs_latency = r.latency;
             out = PtrRepr::fromVa(r.value);
         }
     }
-    machine_.issueStoreP(loc_va, rs_latency);
-    machine_.memAccess(loc_va, true, Machine::AccessKind::StoreP);
+    modelStoreP(loc_va, rs_latency);
+    modelMemAccess(loc_va, true, Machine::AccessKind::StoreP);
     space_.write<PtrBits>(loc_va, out);
-    ptrAssignCycles_.record(machine_.now() - assign_t0);
+    modelSpan(TraceEvent::Kind::SpanEnd, Machine::Span::Assign);
 }
 
 void
@@ -407,7 +466,7 @@ Runtime::loadBytes(SimAddr va, void *dst, Bytes n)
 {
     const Bytes line = config_.machine.cacheLineBytes;
     for (SimAddr a = roundDown(va, line); a < va + n; a += line)
-        machine_.memAccess(a, false, Machine::AccessKind::Load);
+        modelMemAccess(a, false, Machine::AccessKind::Load);
     space_.readBytes(va, dst, n);
 }
 
@@ -416,7 +475,7 @@ Runtime::storeBytes(SimAddr va, const void *src, Bytes n)
 {
     const Bytes line = config_.machine.cacheLineBytes;
     for (SimAddr a = roundDown(va, line); a < va + n; a += line)
-        machine_.memAccess(a, true, Machine::AccessKind::StoreD);
+        modelMemAccess(a, true, Machine::AccessKind::StoreD);
     space_.writeBytes(va, src, n);
 }
 
@@ -433,7 +492,7 @@ Runtime::ptrEq(PtrBits a, PtrBits b, std::uint64_t site)
     // p op NULL: direct comparison, no conversion (Fig 4).
     if (PtrRepr::isNull(a) || PtrRepr::isNull(b)) {
         const bool r = a == b;
-        machine_.branch(site * 8 + 1, r);
+        modelBranch(site * 8 + 1, r);
         return r;
     }
     if (config_.version == Version::Volatile ||
@@ -441,13 +500,13 @@ Runtime::ptrEq(PtrBits a, PtrBits b, std::uint64_t site)
         // Volatile: plain compare. Explicit: object IDs compare
         // directly (the typed API guarantees both sides are IDs).
         const bool r = a == b;
-        machine_.branch(site * 8 + 1, r);
+        modelBranch(site * 8 + 1, r);
         return r;
     }
     const SimAddr va_a = normalizeCmp(a, site * 8 + 1);
     const SimAddr vb = normalizeCmp(b, site * 8 + 2);
     const bool r = va_a == vb;
-    machine_.branch(site * 8 + 3, r);
+    modelBranch(site * 8 + 3, r);
     return r;
 }
 
@@ -456,13 +515,13 @@ Runtime::ptrLt(PtrBits a, PtrBits b, std::uint64_t site)
 {
     if (config_.version == Version::Volatile) {
         const bool r = a < b;
-        machine_.branch(site * 8 + 3, r);
+        modelBranch(site * 8 + 3, r);
         return r;
     }
     const SimAddr va_a = normalizeCmp(a, site * 8 + 3);
     const SimAddr vb = normalizeCmp(b, site * 8 + 4);
     const bool r = va_a < vb;
-    machine_.branch(site * 8 + 5, r);
+    modelBranch(site * 8 + 5, r);
     return r;
 }
 
@@ -490,7 +549,7 @@ Runtime::ptrAddBytes(PtrBits p, std::int64_t delta, std::uint64_t site)
             throw Fault(FaultKind::OffsetOutOfPool, buf);
         }
     }
-    machine_.tick(1);
+    modelTick(1);
     return PtrRepr::addBytes(p, delta);
 }
 
@@ -504,13 +563,13 @@ Runtime::ptrDiffBytes(PtrBits a, PtrBits b, std::uint64_t site)
             swCheck(site * 8 + 6, true);
             swCheck(site * 8 + 7, true);
         }
-        machine_.tick(1);
+        modelTick(1);
         return static_cast<std::int64_t>(PtrRepr::offsetOf(a)) -
                static_cast<std::int64_t>(PtrRepr::offsetOf(b));
     }
     const SimAddr va_a = normalizeCmp(a, site * 8 + 6);
     const SimAddr vb = normalizeCmp(b, site * 8 + 7);
-    machine_.tick(1);
+    modelTick(1);
     return static_cast<std::int64_t>(va_a) -
            static_cast<std::int64_t>(vb);
 }
@@ -545,8 +604,8 @@ Runtime::resetCounters()
     // The histograms cover the same measured region as the counters:
     // resetting one without the other would break the
     // count-equals-counter invariants the obs tests assert.
-    checkCycles_.reset();
-    ptrAssignCycles_.reset();
+    syncModel();
+    machine_.resetSpanHistograms();
     txnCommitNs_.reset();
 }
 

@@ -20,6 +20,18 @@
  *
  * All counters for Table V (dynamic checks, abs->rel, rel->abs) and
  * Fig 15 (storeP / VALB / POLB access fractions) accumulate here.
+ *
+ * The runtime is the functional frontend of the timing model: every
+ * simulated cost reaches its Machine as a model event. A plain
+ * Runtime calls the Machine directly for its first
+ * kCompanionAfterEvents events, then moves the model to a companion
+ * thread (arch/model_companion.hh) and pushes the events through a
+ * ring instead — unless it is a shard of a multi-shard fleet
+ * (keepModelInline), an IR executor call is running on it
+ * (InlineModelScope), or the process already runs its budget of
+ * companions. Either way the results are bit-identical; reads of the
+ * model (machine(), the span histograms, a metrics snapshot) first
+ * drain the ring.
  */
 
 #ifndef UPR_CORE_RUNTIME_HH
@@ -32,6 +44,7 @@
 #include <vector>
 
 #include "arch/machine.hh"
+#include "arch/model_companion.hh"
 #include "common/stats.hh"
 #include "core/pointer_repr.hh"
 #include "mem/vmalloc.hh"
@@ -172,6 +185,9 @@ class Runtime
 
     explicit Runtime(Config config);
 
+    /** Drains and joins the companion thread, if one runs. */
+    ~Runtime();
+
     Runtime(const Runtime &) = delete;
     Runtime &operator=(const Runtime &) = delete;
 
@@ -183,7 +199,73 @@ class Runtime
     AddressSpace &space() { return space_; }
     VolatileHeap &heap() { return heap_; }
     PoolManager &pools() { return pools_; }
-    Machine &machine() { return machine_; }
+
+    /**
+     * The timing model, up to date: drains the companion's ring
+     * first, so use it at phase boundaries, not per event (the hot
+     * path goes through modelTick/modelBranch and the operations
+     * below).
+     */
+    Machine &
+    machine()
+    {
+        syncModel();
+        return machine_;
+    }
+
+    // ------------------------------------------------------------------
+    // Model events and where the model runs
+    // ------------------------------------------------------------------
+
+    /** Model events a plain Runtime calls inline before it tries to
+     * move its model to a companion thread (and between retries). */
+    static constexpr std::uint64_t kCompanionAfterEvents = 65536;
+
+    /** Charge @p n cycles of fixed work. Never waits for the model. */
+    void modelTick(Cycles n);
+
+    /** One program branch through the predictor; never waits. */
+    void modelBranch(std::uint64_t site, bool taken);
+
+    /** Return once the model has applied every event emitted so far. */
+    void syncModel() const;
+
+    /**
+     * Keep the model inline for good (a shard of a fleet whose
+     * workers already fill the cores), stopping a running companion.
+     */
+    void keepModelInline();
+
+    /** True while a companion thread applies this runtime's events. */
+    bool modelOnCompanion() const { return ring_ != nullptr; }
+
+    /**
+     * RAII: drive the Machine inline for the scope (an IR executor
+     * call, whose per-instruction events cost about as much to
+     * interpret as to push). Drains the ring on entry; nests.
+     */
+    class InlineModelScope
+    {
+      public:
+        explicit InlineModelScope(Runtime &rt) : rt_(rt)
+        {
+            if (rt_.inlineDepth_ == 0 && rt_.ring_) {
+                rt_.ring_->drain(); // may rethrow: nothing changed yet
+                rt_.ring_ = nullptr;
+            }
+            ++rt_.inlineDepth_;
+        }
+        ~InlineModelScope()
+        {
+            if (--rt_.inlineDepth_ == 0)
+                rt_.ring_ = rt_.companion_.get();
+        }
+        InlineModelScope(const InlineModelScope &) = delete;
+        InlineModelScope &operator=(const InlineModelScope &) = delete;
+
+      private:
+        Runtime &rt_;
+    };
 
     // ------------------------------------------------------------------
     // Allocation facade
@@ -322,7 +404,7 @@ class Runtime
     T
     loadData(SimAddr va)
     {
-        machine_.memAccess(va, false, Machine::AccessKind::Load);
+        modelMemAccess(va, false, Machine::AccessKind::Load);
         return space_.read<T>(va);
     }
 
@@ -331,7 +413,7 @@ class Runtime
     void
     storeData(SimAddr va, const T &value)
     {
-        machine_.memAccess(va, true, Machine::AccessKind::StoreD);
+        modelMemAccess(va, true, Machine::AccessKind::StoreD);
         space_.write<T>(va, value);
     }
 
@@ -396,19 +478,24 @@ class Runtime
     // Latency histograms (observability layer)
     // ------------------------------------------------------------------
 
-    /** Cycles charged per software dynamic check (deterministic). */
+    /**
+     * Cycles charged per software dynamic check (deterministic;
+     * recorded by the model, registered as "upr.checkCycles").
+     */
     const obs::LatencyHistogram &checkHistogram() const
     {
-        return checkCycles_;
+        syncModel();
+        return machine_.spanHistogram(Machine::Span::Check);
     }
 
     /**
      * Cycles charged per pointerAssignment / storeP (deterministic;
-     * assignments that fault are not recorded).
+     * assignments that fault are not recorded; "upr.ptrAssignCycles").
      */
     const obs::LatencyHistogram &ptrAssignHistogram() const
     {
-        return ptrAssignCycles_;
+        syncModel();
+        return machine_.spanHistogram(Machine::Span::Assign);
     }
 
     /** Host nanoseconds per transaction commit (wall clock). */
@@ -461,7 +548,10 @@ class Runtime
                     "runtime has exactly one owner at a time");
     }
 
-    /** Release one claim level; frees the shard at depth zero. */
+    /**
+     * Release one claim level; frees the shard at depth zero, after
+     * the model has caught up with everything the owner emitted.
+     */
     void
     releaseOwner()
     {
@@ -469,8 +559,10 @@ class Runtime
             ownerToken_.load(std::memory_order_relaxed) ==
                 detail::threadToken() && bindDepth_ > 0,
             "releaseOwner by a thread that does not own this Runtime");
-        if (--bindDepth_ == 0)
+        if (--bindDepth_ == 0) {
+            syncModel();
             ownerToken_.store(0, std::memory_order_release);
+        }
     }
 
     /** Owning thread's token (0 = unowned); tests/diagnostics. */
@@ -481,6 +573,19 @@ class Runtime
     }
 
   private:
+    // Model events the operations above emit (see modelTick).
+    void modelMemAccess(SimAddr va, bool is_write,
+                        Machine::AccessKind kind);
+    void modelPtrLoad(SimAddr va);
+    void modelStoreP(SimAddr va, Cycles rs_latency);
+    void modelSpan(TraceEvent::Kind mark, Machine::Span span);
+    /** Count one inline event; past the threshold, try a companion. */
+    void countInlineEvent();
+    void tryStartCompanion();
+
+    /** POLB ra2va on the frontend; the latency goes out as a tick. */
+    SimAddr polbRa2va(PoolId id, PoolOffset off);
+
     /** SW-mode dynamic check: one predictor branch plus ALU work. */
     bool swCheck(std::uint64_t site, bool outcome);
 
@@ -509,10 +614,25 @@ class Runtime
     };
 
     Config config_;
+
+    /**
+     * Where model events go: the companion's ring while it drains
+     * them (null inside an InlineModelScope or before a companion
+     * starts), else straight to machine_.
+     */
+    ModelCompanion *ring_ = nullptr;
+    /** Inline model events left before the next companion attempt. */
+    std::uint64_t untilCompanion_ = kCompanionAfterEvents;
+    /** Open InlineModelScopes. */
+    unsigned inlineDepth_ = 0;
+
     AddressSpace space_;
     VolatileHeap heap_;
     PoolManager pools_;
-    Machine machine_;
+    /** Cache-line aligned: the companion writes it, the owner writes
+     * the members around it. */
+    alignas(64) Machine machine_;
+    std::unique_ptr<ModelCompanion> companion_;
 
     /** threadToken() of the owning thread; 0 while unclaimed. */
     std::atomic<std::uint64_t> ownerToken_{0};
@@ -548,19 +668,11 @@ class Runtime
     Counter storePOps_;
     Counter reuseHits_;
 
-    /** Simulated-cycle cost per software check (see swCheck). */
-    obs::LatencyHistogram checkCycles_;
-    /** Simulated-cycle cost per pointerAssignment (see storePtr). */
-    obs::LatencyHistogram ptrAssignCycles_;
     /** Host nanoseconds per commitTxn (wall clock, non-model). */
     obs::LatencyHistogram txnCommitNs_;
 
     /** Observability federation (deregisters on destruction). */
     obs::ScopedMetricsGroup obsStats_{stats_};
-    obs::ScopedMetricsHistogram obsCheckCycles_{"upr.checkCycles",
-                                                checkCycles_};
-    obs::ScopedMetricsHistogram obsPtrAssignCycles_{
-        "upr.ptrAssignCycles", ptrAssignCycles_};
     obs::ScopedMetricsHistogram obsTxnCommitNs_{"upr.txnCommitNs",
                                                 txnCommitNs_};
 };
@@ -591,17 +703,93 @@ class ScopedTxnLogHint
 // lets callers in other translation units inline them without LTO.
 // ----------------------------------------------------------------------
 
+inline void
+Runtime::countInlineEvent()
+{
+    if (--untilCompanion_ == 0)
+        tryStartCompanion();
+}
+
+inline void
+Runtime::modelTick(Cycles n)
+{
+    if (ring_) {
+        ring_->push({TraceEvent::Kind::Tick, n});
+        return;
+    }
+    machine_.tick(n);
+    countInlineEvent();
+}
+
+inline void
+Runtime::modelBranch(std::uint64_t site, bool taken)
+{
+    if (ring_) {
+        ring_->push({TraceEvent::Kind::Branch, site, taken});
+        return;
+    }
+    machine_.branch(site, taken);
+    countInlineEvent();
+}
+
+inline void
+Runtime::modelMemAccess(SimAddr va, bool is_write,
+                        Machine::AccessKind kind)
+{
+    if (ring_) {
+        ring_->push({TraceEvent::Kind::MemAccess, va,
+                     (std::uint64_t(is_write) << 8) |
+                         std::uint64_t(kind)});
+        return;
+    }
+    machine_.memAccess(va, is_write, kind);
+    countInlineEvent();
+}
+
+inline void
+Runtime::modelPtrLoad(SimAddr va)
+{
+    if (ring_) {
+        ring_->push({TraceEvent::Kind::PtrLoad, va});
+        return;
+    }
+    machine_.ptrLoad(va);
+    countInlineEvent();
+}
+
+inline void
+Runtime::modelSpan(TraceEvent::Kind mark, Machine::Span span)
+{
+    if (ring_) {
+        ring_->push({mark, std::uint64_t(span)});
+        return;
+    }
+    if (mark == TraceEvent::Kind::SpanBegin)
+        machine_.spanBegin(span);
+    else
+        machine_.spanEnd(span);
+    countInlineEvent();
+}
+
+inline SimAddr
+Runtime::polbRa2va(PoolId id, PoolOffset off)
+{
+    const XlatResult r = machine_.xlat(id, off);
+    modelTick(r.latency);
+    return r.value;
+}
+
 inline bool
 Runtime::nullCheck(bool outcome, std::uint64_t site)
 {
-    machine_.branch(site, outcome);
+    modelBranch(site, outcome);
     return outcome;
 }
 
 inline bool
 Runtime::dataBranch(bool outcome, std::uint64_t site)
 {
-    machine_.branch(site, outcome);
+    modelBranch(site, outcome);
     return outcome;
 }
 
@@ -644,7 +832,7 @@ Runtime::ra2va(PtrBits p, std::uint64_t site)
         upr_panic("relative address under the Volatile version");
       case Version::Sw:
         ++relToAbs_;
-        machine_.tick(config_.machine.swConvertLatency);
+        modelTick(config_.machine.swConvertLatency);
         swLookupBranches(off, site * 16 + 9);
         return pools_.ra2va(id, off);
       case Version::Hw: {
@@ -654,7 +842,7 @@ Runtime::ra2va(PtrBits p, std::uint64_t site)
         if (const SimAddr va = reuseLookup(p); va != kNullAddr)
             return va;
         ++relToAbs_;
-        const SimAddr va = machine_.ra2vaHw(id, off);
+        const SimAddr va = polbRa2va(id, off);
         reuseFill(p, va);
         return va;
       }
@@ -662,8 +850,8 @@ Runtime::ra2va(PtrBits p, std::uint64_t site)
         // The object-ID API cannot park conversions in normal
         // pointers: every access translates anew.
         ++relToAbs_;
-        machine_.tick(config_.machine.explicitApiLatency);
-        return machine_.ra2vaHw(id, off);
+        modelTick(config_.machine.explicitApiLatency);
+        return polbRa2va(id, off);
     }
     upr_panic("unreachable");
 }
@@ -706,7 +894,7 @@ Runtime::resolveForAccess(PtrBits p, std::uint64_t site)
 inline PtrBits
 Runtime::loadPtr(SimAddr loc_va)
 {
-    machine_.ptrLoad(loc_va);
+    modelPtrLoad(loc_va);
     return space_.read<PtrBits>(loc_va);
 }
 

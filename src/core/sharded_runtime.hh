@@ -65,6 +65,12 @@ class ShardedRuntime
                 "shard" + std::to_string(i) + ".");
             shard->txnStats = std::make_unique<TxnStats>();
             shard->runtime = std::make_unique<Runtime>(config_.runtime);
+            // Two or more busy workers already fill the cores a
+            // companion thread per shard would need (measured slower,
+            // docs/PERFORMANCE.md); a T=1 fleet behaves as a plain
+            // Runtime.
+            if (config_.shards >= 2)
+                shard->runtime->keepModelInline();
             {
                 RuntimeScope scope(*shard->runtime);
                 shard->pool = shard->runtime->createPool(

@@ -99,10 +99,31 @@ MetricsRegistry::removeHistogram(const LatencyHistogram *hist)
         histograms_.end());
 }
 
+void
+MetricsRegistry::addSyncHook(const void *owner, std::function<void()> fn)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    syncHooks_.emplace_back(owner, std::move(fn));
+}
+
+void
+MetricsRegistry::removeSyncHook(const void *owner)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    syncHooks_.erase(
+        std::remove_if(syncHooks_.begin(), syncHooks_.end(),
+                       [owner](const auto &kv) {
+                           return kv.first == owner;
+                       }),
+        syncHooks_.end());
+}
+
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mu_);
+    for (const auto &hook : syncHooks_)
+        hook.second();
     MetricsSnapshot snap;
     for (const GroupEntry &e : groups_) {
         e.group->forEach([&](const std::string &stat,

@@ -26,6 +26,7 @@
 #define UPR_OBS_METRICS_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -75,7 +76,17 @@ class MetricsRegistry
                       const LatencyHistogram *hist);
     void removeHistogram(const LatencyHistogram *hist);
 
-    /** Flatten everything currently registered. */
+    /**
+     * Register @p fn, keyed by @p owner, to run at the start of every
+     * snapshot(): a component whose registered values can trail its
+     * work — a Runtime whose timing model runs on a companion thread
+     * — brings them up to date there. Hooks run under the registry
+     * lock and must not register or snapshot.
+     */
+    void addSyncHook(const void *owner, std::function<void()> fn);
+    void removeSyncHook(const void *owner);
+
+    /** Run every sync hook, then flatten everything registered. */
     MetricsSnapshot snapshot() const;
 
     /** Store snapshot() under @p name (overwrites). */
@@ -111,6 +122,8 @@ class MetricsRegistry
     std::vector<GroupEntry> groups_;
     std::vector<std::pair<std::string, const LatencyHistogram *>>
         histograms_;
+    std::vector<std::pair<const void *, std::function<void()>>>
+        syncHooks_;
     std::map<std::string, MetricsSnapshot> named_;
 };
 

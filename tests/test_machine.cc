@@ -110,8 +110,8 @@ TEST_F(MachineTest, Va2RaHwChargesValb)
 TEST_F(MachineTest, StorePRsXlatIsNotCharged)
 {
     Machine m(params, mgr);
-    const Va2RaResult v = m.storePRsXlat(mgr.baseOf(pool) + 0x40);
-    const XlatResult p = m.storePRsXlat(pool, 0x40);
+    const Va2RaResult v = m.xlat(mgr.baseOf(pool) + 0x40);
+    const XlatResult p = m.xlat(pool, 0x40);
     EXPECT_EQ(v.latency, params.valbHitLatency + params.vawLatency);
     EXPECT_EQ(p.value, mgr.baseOf(pool) + 0x40);
     EXPECT_EQ(p.latency, params.polbHitLatency + params.powLatency);
