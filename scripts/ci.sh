@@ -21,8 +21,10 @@
 #      counter repeats), failing on any non-zero exit;
 #   4pt. one 1-second kv_read_latest perfbench run built with
 #      ThreadSanitizer (its own build directory): the one place the
-#      timing model's companion thread runs inside perfbench itself;
-#      every oracle must pass and TSan must stay silent;
+#      timing model's companion runs inside perfbench itself; every
+#      oracle must pass, TSan must stay silent, and with four or more
+#      CPUs both companion stages (threads upr-model-mem and
+#      upr-model-clk) must be seen running;
 #   5. observability overhead gate: with event tracing compiled in,
 #      a traced run and an untraced run of the quick bench must agree
 #      on every simulated counter (tracing observes the model, never
@@ -98,21 +100,51 @@ for w in kv_read_latest kv_update_durable ir_exec; do
 done
 
 echo "==> tier 4pt: perfbench kv_read_latest under ThreadSanitizer"
-out=$(CARGO_TARGET_DIR="$(pwd)/.bench_build_tsan" \
+TSAN_BENCH="$(pwd)/.bench_build_tsan"
+TSAN_LOG=$(mktemp)
+CARGO_TARGET_DIR="$TSAN_BENCH" \
     CXXFLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     LDFLAGS="-fsanitize=thread" TSAN_OPTIONS="halt_on_error=1" \
     python3 perfbench/run.py --workload kv_read_latest --seed 1 \
-    --seconds 1 --trace 0 2>&1) || {
+    --seconds 1 --trace 0 >"$TSAN_LOG" 2>&1 &
+run=$!
+# With four or more CPUs the timing model runs as its two-stage
+# companion: watch the benchmark's thread names until both stages
+# are seen live at once.
+both=""
+while kill -0 "$run" 2>/dev/null; do
+    if [ -z "$both" ]; then
+        pid=$(pgrep -f "^$TSAN_BENCH/perfbench/uprbench" | head -n 1 || true)
+        if [ -n "$pid" ]; then
+            names=$(cat /proc/"$pid"/task/*/comm 2>/dev/null || true)
+            case $names in
+              *upr-model-mem*)
+                case $names in *upr-model-clk*) both=yes ;; esac ;;
+            esac
+        fi
+    fi
+    sleep 0.05
+done
+status=0
+wait "$run" || status=$?
+out=$(cat "$TSAN_LOG")
+rm -f "$TSAN_LOG"
+if [ "$status" -ne 0 ]; then
     echo "$out" >&2
     echo "ci: perfbench kv_read_latest failed under TSan" >&2
     exit 1
-}
+fi
 if echo "$out" | grep -q "WARNING: ThreadSanitizer"; then
     echo "$out" >&2
     echo "ci: ThreadSanitizer reported a race in perfbench" >&2
     exit 1
 fi
-echo "perfbench kv_read_latest (TSan): every oracle passed, no report"
+if [ "$(nproc)" -ge 4 ] && [ -z "$both" ]; then
+    echo "ci: the two-stage timing model never ran in perfbench" >&2
+    exit 1
+fi
+echo "perfbench kv_read_latest (TSan): every oracle passed, no report," \
+    "two model stages seen: ${both:-no}"
 
 echo "==> tier 5: observability overhead gate"
 GATE_OUT=$(mktemp -d)

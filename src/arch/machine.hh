@@ -7,10 +7,22 @@
  * time. The UPR runtime (src/core/runtime.hh) is its Pin-style
  * frontend: it emits the memory events the instrumented workloads
  * make, either as direct calls or, once a plain Runtime has run long
- * enough, as records through a ring to a companion thread that calls
- * apply() on its behalf (arch/model_companion.hh). Trace replay
+ * enough, as records through a ring to a companion that applies them
+ * on its behalf (arch/model_companion.hh). Trace replay
  * (arch/trace.hh) drives a fresh Machine with a recorded stream of
  * the same events through the same apply().
+ *
+ * The model is split in two stages by what their state depends on:
+ *  - the memory stage (memoryStage: MMU-front bypass predictor, TLBs,
+ *    caches) sees only the order of addresses and write flags and
+ *    never reads the clock;
+ *  - the clock stage (chargeAccess and every other event: clock,
+ *    branch predictor, pending-storeP wait, storeP unit, spans, core
+ *    counters, trace appends) charges the memory stage's latencies in
+ *    event order.
+ * memAccess() and apply() run the two back to back; a two-stage
+ * companion runs applyMemoryStage() and applyClockStage() on two
+ * threads, the first writing each access's latencies into its record.
  *
  * The POLB and VALB are the exception: their lookups return the
  * translated address and can fault, so the frontend probes them
@@ -22,6 +34,8 @@
 
 #ifndef UPR_ARCH_MACHINE_HH
 #define UPR_ARCH_MACHINE_HH
+
+#include <algorithm>
 
 #include "arch/branch.hh"
 #include "arch/bypass.hh"
@@ -49,10 +63,10 @@ class Machine
     Machine(const MachineParams &params, const PoolManager &manager)
         // Components reference params_ (our copy), declared first so
         // it outlives them even when the caller passed a temporary.
-        : params_(params), caches_(params_), tlbs_(params_), bpred_(params_),
-          polb_(params_, manager), valb_(params_, manager),
-          storePUnit_(params_), bypass_(params_.bypassEntries),
-          stats_("core")
+        : params_(params), caches_(params_), tlbs_(params_),
+          bypass_(params_.bypassEntries), bpred_(params_),
+          storePUnit_(params_), stats_("core"), polb_(params_, manager),
+          valb_(params_, manager)
     {
         stats_.registerCounter("memAccesses", memAccesses_,
                                "data memory accesses");
@@ -97,6 +111,7 @@ class Machine
      * One timed data access at virtual address @p va: TLB translation
      * plus cache hierarchy plus DRAM/NVM latency. Whether the access
      * is persistent is decided by bit 47 of the VA, as in the paper.
+     * The memory stage, then the clock stage.
      *
      * @param kind Load or StoreD accounting bucket
      * @return the access latency charged
@@ -106,43 +121,26 @@ class Machine
     Cycles
     memAccess(SimAddr va, bool is_write, AccessKind kind)
     {
-        ++memAccesses_;
-        switch (kind) {
-          case AccessKind::Load:   ++loads_; break;
-          case AccessKind::StoreD: ++stores_; break;
-          case AccessKind::StoreP: ++storePs_; break;
-        }
-        const bool nvm = Layout::isNvm(va);
-        if (nvm)
-            ++nvmAccesses_;
-        // MMU front: the POLB/VALB probe before the TLB (None by
-        // default; Always/Predicted model the paper's future-work
-        // discussion — see arch/bypass.hh).
-        Cycles front = 0;
-        switch (mmuFront_) {
-          case MmuFrontModel::None:
-            break;
-          case MmuFrontModel::Always:
-            front = params_.mmuFrontDelay;
-            break;
-          case MmuFrontModel::Predicted:
-            front = bypass_.access(va, params_.mmuFrontDelay);
-            break;
-        }
-        if (front > 0) {
-            now_ += front;
-            if (trace_)
-                trace_->append({TraceEvent::Kind::Tick, front});
-        }
-        if (trace_) {
-            trace_->append({TraceEvent::Kind::MemAccess, va,
-                            (std::uint64_t(is_write) << 8) |
-                                std::uint64_t(kind)});
-        }
-        Cycles lat = tlbs_.access(va);
-        lat += caches_.access(va, is_write, nvm);
-        now_ += lat;
-        return lat;
+        const MemLatency m = memoryStage(va, is_write);
+        chargeAccess(va, is_write, kind, m);
+        return m.access;
+    }
+
+    /**
+     * True when no access can take longer than a ring record's
+     * latency fields hold, so the memory stage may run ahead on its
+     * own thread (always, short of absurd MachineParams).
+     */
+    bool
+    latenciesFitRecord() const
+    {
+        const MachineParams &p = params_;
+        const Cycles worst =
+            p.l1TlbLatency + p.l2TlbHitLatency + p.pageWalkLatency +
+            p.l1Latency + p.l2Latency + p.l3Latency +
+            std::max(p.dramLatency, p.nvmLatency);
+        return 2 * p.mmuFrontDelay <= TraceEvent::kFrontMax &&
+               worst <= TraceEvent::kAccessMax;
     }
 
     /**
@@ -159,14 +157,7 @@ class Machine
     Cycles
     ptrLoad(SimAddr va)
     {
-        if (!pendingStoreP_.empty()) {
-            Cycles ready = 0;
-            if (pendingStoreP_.take(roundDown(va, params_.cacheLineBytes),
-                                    ready) &&
-                ready > now_ && ++depLoads_ % 3 == 0) {
-                tick(ready - now_);
-            }
-        }
+        waitForStoreP(va);
         return memAccess(va, false, AccessKind::Load);
     }
 
@@ -202,24 +193,6 @@ class Machine
     xlat(PoolId id, PoolOffset off)
     {
         return polb_.ra2va(id, off);
-    }
-
-    /** POLB ra2va that charges its latency to the clock. */
-    SimAddr
-    ra2vaHw(PoolId id, PoolOffset off)
-    {
-        const XlatResult r = xlat(id, off);
-        tick(r.latency);
-        return r.value;
-    }
-
-    /** VALB va2ra that charges its latency to the clock. */
-    Va2RaResult
-    va2raHw(SimAddr va)
-    {
-        const Va2RaResult r = xlat(va);
-        tick(r.latency);
-        return r;
     }
 
     /**
@@ -278,44 +251,33 @@ class Machine
 
     /**
      * Perform one model event: the call it encodes, exactly as the
-     * frontend would have made it. Trace replay and the companion
-     * thread both come through here.
+     * frontend would have made it, after any tick the record carries.
+     * Trace replay and a one-stage companion come through here.
+     */
+    void apply(const TraceEvent &e) { applyRecord<false>(e); }
+
+    /**
+     * Memory stage of a two-stage companion: run the memory stage of
+     * a MemAccess/PtrLoad record and write its latencies into the
+     * record; other kinds pass untouched.
      */
     void
-    apply(const TraceEvent &e)
+    applyMemoryStage(TraceEvent &e)
     {
         using Kind = TraceEvent::Kind;
-        switch (e.kind()) {
-          case Kind::MemAccess:
-            memAccess(e.a, (e.b() >> 8) & 1,
-                      static_cast<AccessKind>(e.b() & 0xff));
-            break;
-          case Kind::Branch:
-            branch(e.a, e.b() != 0);
-            break;
-          case Kind::Tick:
-            tick(e.a);
-            break;
-          case Kind::StorePIssue:
-            // A trace carries no store address: the forwarding wait
-            // a pending line causes is already recorded as a Tick.
-            issueStoreP(kNullAddr, e.a, e.b());
-            break;
-          case Kind::PtrLoad:
-            ptrLoad(e.a);
-            break;
-          case Kind::StoreP:
-            issueStoreP(e.a, e.b() & kStorePLatencyMask,
-                        e.b() >> kStorePLatencyBits);
-            break;
-          case Kind::SpanBegin:
-            spanBegin(static_cast<Span>(e.a));
-            break;
-          case Kind::SpanEnd:
-            spanEnd(static_cast<Span>(e.a));
-            break;
-        }
+        const Kind k = e.kind();
+        if (k != Kind::MemAccess && k != Kind::PtrLoad)
+            return;
+        const MemLatency m = memoryStage(e.a, (e.b() >> 8) & 1);
+        e.kb |= (m.front << TraceEvent::kFrontShift) |
+                (m.access << TraceEvent::kAccessShift);
     }
+
+    /**
+     * Clock stage of a two-stage companion: apply() on a record the
+     * memory stage has filled, charging its latencies in order.
+     */
+    void applyClockStage(const TraceEvent &e) { applyRecord<true>(e); }
 
     /** Width of each latency in a StoreP event's payload. */
     static constexpr unsigned kStorePLatencyBits = 28;
@@ -367,21 +329,156 @@ class Machine
     std::uint64_t storePCount() const { return storePs_.value(); }
 
   private:
+    /** What the memory stage found for one access. */
+    struct MemLatency
+    {
+        Cycles front;  //!< MMU-front probe delay
+        Cycles access; //!< TLB + cache hierarchy + memory
+    };
+
+    /**
+     * Memory stage of one access: the MMU-front bypass predictor, the
+     * TLBs and the caches. Their state and latencies depend only on
+     * the order of addresses and write flags, never on the clock.
+     */
+    MemLatency
+    memoryStage(SimAddr va, bool is_write)
+    {
+        // MMU front: the POLB/VALB probe before the TLB (None by
+        // default; Always/Predicted model the paper's future-work
+        // discussion — see arch/bypass.hh).
+        Cycles front = 0;
+        switch (mmuFront_) {
+          case MmuFrontModel::None:
+            break;
+          case MmuFrontModel::Always:
+            front = params_.mmuFrontDelay;
+            break;
+          case MmuFrontModel::Predicted:
+            front = bypass_.access(va, params_.mmuFrontDelay);
+            break;
+        }
+        Cycles lat = tlbs_.access(va);
+        lat += caches_.access(va, is_write, Layout::isNvm(va));
+        return {front, lat};
+    }
+
+    /**
+     * Clock stage of one access: the core counters, the trace (the
+     * front delay as a Tick before the MemAccess) and the clock.
+     */
+    void
+    chargeAccess(SimAddr va, bool is_write, AccessKind kind,
+                 MemLatency m)
+    {
+        ++memAccesses_;
+        switch (kind) {
+          case AccessKind::Load:   ++loads_; break;
+          case AccessKind::StoreD: ++stores_; break;
+          case AccessKind::StoreP: ++storePs_; break;
+        }
+        if (Layout::isNvm(va))
+            ++nvmAccesses_;
+        if (m.front > 0) {
+            now_ += m.front;
+            if (trace_)
+                trace_->append({TraceEvent::Kind::Tick, m.front});
+        }
+        if (trace_) {
+            trace_->append({TraceEvent::Kind::MemAccess, va,
+                            (std::uint64_t(is_write) << 8) |
+                                std::uint64_t(kind)});
+        }
+        now_ += m.access;
+    }
+
+    /**
+     * A pointer load's wait on an in-flight storeP to its line (see
+     * ptrLoad), charged through tick().
+     */
+    void
+    waitForStoreP(SimAddr va)
+    {
+        if (pendingStoreP_.empty())
+            return;
+        Cycles ready = 0;
+        if (pendingStoreP_.take(roundDown(va, params_.cacheLineBytes),
+                                ready) &&
+            ready > now_ && ++depLoads_ % 3 == 0) {
+            tick(ready - now_);
+        }
+    }
+
+    /**
+     * apply() with the memory stage run here (@p Staged false) or
+     * taken from the record (true).
+     */
+    template <bool Staged>
+    void
+    applyRecord(const TraceEvent &e)
+    {
+        using Kind = TraceEvent::Kind;
+        const std::uint64_t b = e.b();
+        const auto access = [&](bool is_write, AccessKind kind) {
+            if (Staged) {
+                chargeAccess(e.a, is_write, kind,
+                             {e.frontLatency(), e.accessLatency()});
+            } else {
+                memAccess(e.a, is_write, kind);
+            }
+        };
+        switch (e.kind()) {
+          case Kind::MemAccess:
+            tick(e.carriedTick());
+            access((b >> 8) & 1, static_cast<AccessKind>(b & 0xff));
+            break;
+          case Kind::Branch:
+            tick(e.carriedTick());
+            branch(e.a, b & 1);
+            break;
+          case Kind::Tick:
+            tick(e.a);
+            break;
+          case Kind::StorePIssue:
+            // A trace carries no store address: the forwarding wait
+            // a pending line causes is already recorded as a Tick.
+            issueStoreP(kNullAddr, e.a, b);
+            break;
+          case Kind::PtrLoad:
+            tick(e.carriedTick());
+            waitForStoreP(e.a);
+            access(false, AccessKind::Load);
+            break;
+          case Kind::StoreP:
+            issueStoreP(e.a, b & kStorePLatencyMask,
+                        b >> kStorePLatencyBits);
+            break;
+          case Kind::SpanBegin:
+            spanBegin(static_cast<Span>(e.a));
+            break;
+          case Kind::SpanEnd:
+            spanEnd(static_cast<Span>(e.a));
+            break;
+        }
+    }
+
     const MachineParams params_;
 
-    // Cache-line boundaries: with a companion thread the POLB and
-    // VALB are probed by the frontend's core and everything else is
-    // written by the companion's, so they share no line.
-    alignas(64) Cycles now_ = 0;
+    // Cache-line boundaries by writer. With a two-stage companion the
+    // memory stage's thread writes the first group and the clock
+    // stage's thread the second; the POLB and VALB are probed by the
+    // frontend's core. A one-stage companion writes both groups.
 
-    CacheHierarchy caches_;
+    // Memory stage.
+    alignas(64) CacheHierarchy caches_;
     TlbHierarchy tlbs_;
-    BranchPredictor bpred_;
-    alignas(64) Polb polb_;
-    Valb valb_;
-    alignas(64) StorePUnit storePUnit_;
     BypassPredictor bypass_;
     MmuFrontModel mmuFront_ = MmuFrontModel::None;
+
+    // Clock stage (and the members below it, up to the POLB).
+    alignas(64) Cycles now_ = 0;
+    BranchPredictor bpred_;
+    StorePUnit storePUnit_;
 
     /** Optional trace recording sink (not owned). */
     Trace *trace_ = nullptr;
@@ -406,6 +503,10 @@ class Machine
     /** Open span start times and completed-span cycles, by Span. */
     Cycles spanT0_[2] = {};
     obs::LatencyHistogram spanCycles_[2];
+
+    // Frontend: the synchronous translations (xlat).
+    alignas(64) Polb polb_;
+    Valb valb_;
 
     /**
      * Observability federation: every architectural StatGroup joins

@@ -23,7 +23,12 @@
  * TraceEvent is also the record of the runtime's model-event ring
  * (arch/model_companion.hh): the frontend-only kinds below carry the
  * Machine calls a trace records in expanded form (a pointer load, a
- * storeP with its address) and the histogram span marks.
+ * storeP with its address) and the histogram span marks. A ring
+ * record of a carrier kind (MemAccess, PtrLoad, Branch) may also hold
+ * a tick the model charges just before the event, and a two-stage
+ * companion's memory stage writes an access's latencies into its
+ * record for the clock stage; both sit above the kind's own payload,
+ * where a recorded trace keeps zeros.
  */
 
 #ifndef UPR_ARCH_TRACE_HH
@@ -57,6 +62,19 @@ struct TraceEvent
     static constexpr std::uint64_t kPayloadMask =
         (std::uint64_t{1} << kKindShift) - 1;
 
+    // Ring-only fields of b, above the 9 bits a MemAccess uses:
+    // [9, 26) a carried tick, [26, 36) the MMU-front latency and
+    // [36, 56) the TLB + cache latency.
+    static constexpr unsigned kCarryShift = 9;
+    static constexpr unsigned kFrontShift = 26;
+    static constexpr unsigned kAccessShift = 36;
+    static constexpr Cycles kCarryMax =
+        (Cycles{1} << (kFrontShift - kCarryShift)) - 1;
+    static constexpr Cycles kFrontMax =
+        (Cycles{1} << (kAccessShift - kFrontShift)) - 1;
+    static constexpr Cycles kAccessMax =
+        (Cycles{1} << (kKindShift - kAccessShift)) - 1;
+
     TraceEvent() = default;
     constexpr TraceEvent(Kind k, std::uint64_t a_, std::uint64_t b_ = 0)
         : a(a_), kb((std::uint64_t(k) << kKindShift) | b_)
@@ -64,6 +82,21 @@ struct TraceEvent
 
     Kind kind() const { return static_cast<Kind>(kb >> kKindShift); }
     std::uint64_t b() const { return kb & kPayloadMask; }
+
+    /** True for the kinds that can carry a tick. */
+    static constexpr bool
+    carries(Kind k)
+    {
+        return k == Kind::MemAccess || k == Kind::PtrLoad ||
+               k == Kind::Branch;
+    }
+    /** The tick charged before this event (0: none). */
+    Cycles carriedTick() const { return (kb >> kCarryShift) & kCarryMax; }
+    Cycles frontLatency() const { return (kb >> kFrontShift) & kFrontMax; }
+    Cycles accessLatency() const
+    {
+        return (kb >> kAccessShift) & kAccessMax;
+    }
 
     bool
     operator==(const TraceEvent &o) const

@@ -236,8 +236,9 @@ class Runtime
      */
     void keepModelInline();
 
-    /** True while a companion thread applies this runtime's events. */
-    bool modelOnCompanion() const { return ring_ != nullptr; }
+    /** Threads of the companion applying this runtime's events now
+     * (0 while the model runs inline). */
+    unsigned modelStages() const { return ring_ ? ring_->stages() : 0; }
 
     /**
      * RAII: drive the Machine inline for the scope (an IR executor
@@ -714,7 +715,7 @@ inline void
 Runtime::modelTick(Cycles n)
 {
     if (ring_) {
-        ring_->push({TraceEvent::Kind::Tick, n});
+        ring_->pushTick(n);
         return;
     }
     machine_.tick(n);

@@ -20,6 +20,29 @@ class MachineTest : public ::testing::Test
     PoolId pool = 0;
 };
 
+namespace
+{
+
+/** A hardware translation as the frontend makes it: xlat, then its
+ * latency as a tick. */
+SimAddr
+chargedRa2va(Machine &m, PoolId id, PoolOffset off)
+{
+    const XlatResult r = m.xlat(id, off);
+    m.tick(r.latency);
+    return r.value;
+}
+
+Va2RaResult
+chargedVa2ra(Machine &m, SimAddr va)
+{
+    const Va2RaResult r = m.xlat(va);
+    m.tick(r.latency);
+    return r;
+}
+
+} // namespace
+
 TEST_F(MachineTest, ClockStartsAtZeroAndTicks)
 {
     Machine m(params, mgr);
@@ -73,13 +96,13 @@ TEST_F(MachineTest, Ra2VaHwChargesPolb)
 {
     Machine m(params, mgr);
     const Cycles before = m.now();
-    const SimAddr va = m.ra2vaHw(pool, 0x40);
+    const SimAddr va = chargedRa2va(m, pool, 0x40);
     EXPECT_EQ(va, mgr.baseOf(pool) + 0x40);
     // Miss: hit latency + walk.
     EXPECT_EQ(m.now() - before,
               params.polbHitLatency + params.powLatency);
     const Cycles mid = m.now();
-    m.ra2vaHw(pool, 0x80);
+    chargedRa2va(m, pool, 0x80);
     EXPECT_EQ(m.now() - mid, params.polbHitLatency);
 }
 
@@ -96,14 +119,14 @@ TEST_F(MachineTest, Va2RaHwChargesValb)
 {
     Machine m(params, mgr);
     const Cycles before = m.now();
-    const Va2RaResult r = m.va2raHw(mgr.baseOf(pool) + 0x40);
+    const Va2RaResult r = chargedVa2ra(m, mgr.baseOf(pool) + 0x40);
     EXPECT_EQ(r.id, pool);
     EXPECT_EQ(r.offset, 0x40u);
     // Miss: hit latency + walk, charged to the clock.
     EXPECT_EQ(m.now() - before,
               params.valbHitLatency + params.vawLatency);
     const Cycles mid = m.now();
-    m.va2raHw(mgr.baseOf(pool) + 0x80);
+    chargedVa2ra(m, mgr.baseOf(pool) + 0x80);
     EXPECT_EQ(m.now() - mid, params.valbHitLatency);
 }
 
@@ -190,7 +213,7 @@ TEST_F(MachineTest, ResetAllStatsKeepsWarmState)
 {
     Machine m(params, mgr);
     m.memAccess(0x4000, false, Machine::AccessKind::Load);
-    m.ra2vaHw(pool, 0);
+    chargedRa2va(m, pool, 0);
     m.resetAllStats();
 
     EXPECT_EQ(m.memAccesses(), 0u);
@@ -203,7 +226,7 @@ TEST_F(MachineTest, ResetAllStatsKeepsWarmState)
                                    Machine::AccessKind::Load);
     EXPECT_EQ(lat, params.l1TlbLatency + params.l1Latency);
     const Cycles before = m.now();
-    m.ra2vaHw(pool, 8);
+    chargedRa2va(m, pool, 8);
     EXPECT_EQ(m.now() - before, params.polbHitLatency);
 }
 

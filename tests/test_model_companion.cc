@@ -1,9 +1,10 @@
 /** @file Differential tests for the companion-thread timing model:
- * the same workload driven once with the Machine on a companion
- * thread and once inline must agree on simulated cycles, every
- * metrics-registry counter, both span histograms and the recorded
- * trace; plus the rule that decides where the model runs (event
- * threshold, process budget, executor calls, multi-shard fleets). */
+ * the same workload driven inline, on a one-stage companion and on a
+ * two-stage (memory stage, then clock stage) companion must agree on
+ * simulated cycles, every metrics-registry counter, both span
+ * histograms and the recorded trace; plus the ticks records carry,
+ * and the rule that decides where the model runs (event threshold,
+ * free budget slots, executor calls, multi-shard fleets). */
 
 #include <gtest/gtest.h>
 
@@ -32,7 +33,7 @@ namespace
 struct Outcome
 {
     Cycles cycles = 0;
-    bool onCompanion = false;
+    unsigned stages = 0;
     std::map<std::string, std::uint64_t> counters;
     obs::HistogramData checkCycles;
     obs::HistogramData ptrAssignCycles;
@@ -54,7 +55,7 @@ expectSameHistogram(const obs::HistogramData &a,
 void
 expectSameOutcome(const Outcome &inl, const Outcome &comp)
 {
-    EXPECT_FALSE(inl.onCompanion);
+    EXPECT_EQ(inl.stages, 0u);
     EXPECT_EQ(comp.cycles, inl.cycles);
     EXPECT_EQ(comp.counters, inl.counters);
     expectSameHistogram(comp.checkCycles, inl.checkCycles,
@@ -71,6 +72,31 @@ companionsPossible()
 {
     return ModelCompanion::budget() > 0;
 }
+
+/**
+ * Hold budget slots so that exactly @p free stay free (as many as
+ * the budget allows); a plain runtime started meanwhile gets a
+ * companion of min(@p free, 2) stages.
+ */
+class FreeSlots
+{
+  public:
+    explicit FreeSlots(unsigned free)
+        : hold_(freeNow() > free ? freeNow() - free : 0)
+    {}
+
+    static unsigned
+    freeNow()
+    {
+        return ModelCompanion::budget() - ModelCompanion::live();
+    }
+
+    /** Stages a companion started now gets. */
+    static unsigned stagesNow() { return std::min(freeNow(), 2u); }
+
+  private:
+    ModelCompanion::Slots hold_;
+};
 
 /**
  * Run @p work on a fresh runtime with a trace attached from the first
@@ -94,7 +120,7 @@ runWorkload(const Runtime::Config &cfg, bool inlineModel,
         RuntimeScope scope(rt);
         rt.machine().setTrace(&trace);
         work(rt);
-        out.onCompanion = rt.modelOnCompanion();
+        out.stages = rt.modelStages();
         const obs::MetricsSnapshot snap = reg.snapshot().minus(before);
         out.counters = snap.counters;
         out.checkCycles = snap.histograms.at("upr.checkCycles");
@@ -106,18 +132,23 @@ runWorkload(const Runtime::Config &cfg, bool inlineModel,
     return out;
 }
 
+/** The workload inline, then on a companion of each stage count
+ * the budget allows: every companion run matches the inline one. */
 void
 expectCompanionMatchesInline(const Runtime::Config &cfg,
                              const std::function<void(Runtime &)> &work)
 {
     const Outcome inl = runWorkload(cfg, true, work);
-    const Outcome comp = runWorkload(cfg, false, work);
-    if (companionsPossible()) {
-        EXPECT_TRUE(comp.onCompanion);
-    }
     // Far past the start threshold, so most events took the ring.
     EXPECT_GT(inl.trace.size(), 2 * Runtime::kCompanionAfterEvents);
-    expectSameOutcome(inl, comp);
+    for (unsigned stages : {2u, 1u}) {
+        SCOPED_TRACE(stages == 2 ? "two stages" : "one stage");
+        const FreeSlots free(stages);
+        const unsigned expect = FreeSlots::stagesNow();
+        const Outcome comp = runWorkload(cfg, false, work);
+        EXPECT_EQ(comp.stages, expect);
+        expectSameOutcome(inl, comp);
+    }
 }
 
 using Tree = RbTree<std::uint64_t, std::uint64_t>;
@@ -250,8 +281,11 @@ TEST(ModelCompanion, ReadsInsideTheRunSeeEveryEvent)
     Runtime::Config cfg;
     cfg.version = Version::Sw;
     cfg.seed = 15;
-    std::vector<std::uint64_t> seen[2];
-    for (int pass = 0; pass < 2; ++pass) {
+    // Pass 0 inline, then two stages, then one.
+    std::vector<std::uint64_t> seen[3];
+    for (unsigned pass = 0; pass < 3; ++pass) {
+        const FreeSlots free(pass == 1 ? 2 : 1);
+        const unsigned stages = FreeSlots::stagesNow();
         Runtime rt(cfg);
         if (pass == 0)
             rt.keepModelInline();
@@ -268,8 +302,10 @@ TEST(ModelCompanion, ReadsInsideTheRunSeeEveryEvent)
                 rt.machine().resetAllStats();
             }
         }
+        EXPECT_EQ(rt.modelStages(), pass == 0 ? 0 : stages);
     }
     EXPECT_EQ(seen[1], seen[0]);
+    EXPECT_EQ(seen[2], seen[0]);
 }
 
 TEST(ModelCompanionBudget, ShortRuntimeStartsNoThread)
@@ -279,13 +315,15 @@ TEST(ModelCompanionBudget, ShortRuntimeStartsNoThread)
     Runtime rt;
     RuntimeScope scope(rt);
     streamWork(rt, Runtime::kCompanionAfterEvents / 4);
-    EXPECT_FALSE(rt.modelOnCompanion());
+    EXPECT_EQ(rt.modelStages(), 0u);
     EXPECT_EQ(ModelCompanion::live(), live);
     EXPECT_EQ(processThreads(), threads);
 }
 
 TEST(ModelCompanionBudget, SixteenRuntimesStayWithinBudget)
 {
+    // Each runtime takes two slots while two are free, then one: the
+    // budget's slots, not its runtimes, bound the threads.
     const unsigned threads = processThreads();
     const unsigned budget = ModelCompanion::budget();
     constexpr unsigned kRuntimes = 16;
@@ -296,12 +334,16 @@ TEST(ModelCompanionBudget, SixteenRuntimesStayWithinBudget)
         streamWork(*rts.back(), Runtime::kCompanionAfterEvents);
     }
     unsigned on = 0;
-    for (const auto &rt : rts)
-        on += rt->modelOnCompanion();
-    EXPECT_EQ(on, std::min(budget, kRuntimes));
-    EXPECT_EQ(ModelCompanion::live(), on);
+    unsigned stages = 0;
+    for (const auto &rt : rts) {
+        on += rt->modelStages() > 0;
+        stages += rt->modelStages();
+    }
+    EXPECT_EQ(on, std::min((budget + 1) / 2, kRuntimes));
+    EXPECT_EQ(stages, std::min(budget, 2 * kRuntimes));
+    EXPECT_EQ(ModelCompanion::live(), stages);
     if (threads > 0) {
-        EXPECT_EQ(processThreads(), threads + on);
+        EXPECT_EQ(processThreads(), threads + stages);
     }
     // Companion or inline, every runtime ran the same workload.
     for (const auto &rt : rts) {
@@ -315,6 +357,110 @@ TEST(ModelCompanionBudget, SixteenRuntimesStayWithinBudget)
     EXPECT_EQ(ModelCompanion::live(), 0u);
     if (threads > 0) {
         EXPECT_EQ(processThreads(), threads);
+    }
+}
+
+TEST(ModelCompanionBudget, StagesFollowFreeSlots)
+{
+    // Two stages when two slots are free, one when one is, inline
+    // when none is; with latencies too long for a record, one.
+    const unsigned budget = ModelCompanion::budget();
+    for (unsigned free : {2u, 1u, 0u}) {
+        if (free > budget)
+            continue;
+        SCOPED_TRACE(free);
+        const FreeSlots hold(free);
+        const unsigned live = ModelCompanion::live();
+        Runtime rt;
+        RuntimeScope scope(rt);
+        streamWork(rt, Runtime::kCompanionAfterEvents + 10);
+        EXPECT_EQ(rt.modelStages(), free);
+        EXPECT_EQ(ModelCompanion::live(), live + free);
+    }
+    if (budget >= 2) {
+        Runtime::Config cfg;
+        cfg.machine.nvmLatency = TraceEvent::kAccessMax;
+        Runtime rt(cfg);
+        RuntimeScope scope(rt);
+        streamWork(rt, Runtime::kCompanionAfterEvents + 10);
+        EXPECT_EQ(rt.modelStages(), 1u);
+        EXPECT_EQ(ModelCompanion::live(), 1u);
+    }
+    EXPECT_EQ(ModelCompanion::live(), 0u);
+}
+
+TEST(ModelCompanion, CarriedTicksMatchInline)
+{
+    // Ticks ride on the next MemAccess/PtrLoad/Branch; a second tick,
+    // a tick too long for the field, another record kind or a drain
+    // sends the held one as a record of its own. Every path replays
+    // to the inline trace.
+    AddressSpace space;
+    PoolManager pools(space);
+    const MachineParams params;
+    const auto script = [](auto &&tick, auto &&event, auto &&sync) {
+        using Kind = TraceEvent::Kind;
+        for (std::uint64_t i = 0; i < 3 * ModelCompanion::kRecords; ++i) {
+            tick(i % 5 + 1);
+            switch (i % 7) {
+              case 0:
+                event(TraceEvent{Kind::MemAccess, 0x1000 + i * 24, 1});
+                break;
+              case 1:
+                event(TraceEvent{Kind::PtrLoad, 0x1000 + i * 8});
+                break;
+              case 2:
+                event(TraceEvent{Kind::Branch, i % 13, i % 3 == 0});
+                break;
+              case 3:
+                tick(7); // a second tick before any carrier
+                event(TraceEvent{Kind::Branch, 3, 1});
+                break;
+              case 4:
+                tick(TraceEvent::kCarryMax + 1); // too long to carry
+                event(TraceEvent{Kind::MemAccess, 0x9000, 0});
+                break;
+              case 5:
+                event(TraceEvent{Kind::SpanBegin, 0});
+                event(TraceEvent{Kind::SpanEnd, 0});
+                break;
+              case 6:
+                if (i % 4099 == 6)
+                    sync();
+                break;
+            }
+        }
+    };
+    Trace inlTrace;
+    Machine inl(params, pools);
+    inl.setTrace(&inlTrace);
+    script([&](Cycles n) { inl.tick(n); },
+           [&](const TraceEvent &e) { inl.apply(e); }, [] {});
+
+    for (unsigned stages : {2u, 1u}) {
+        SCOPED_TRACE(stages);
+        const FreeSlots free(stages);
+        const unsigned expect = FreeSlots::stagesNow();
+        Trace trace;
+        Machine m(params, pools);
+        m.setTrace(&trace);
+        std::unique_ptr<ModelCompanion> c = ModelCompanion::start(m);
+        if (!c) {
+            EXPECT_EQ(expect, 0u);
+            continue;
+        }
+        EXPECT_EQ(c->stages(), expect);
+        script([&](Cycles n) { c->pushTick(n); },
+               [&](const TraceEvent &e) { c->push(e); },
+               [&] { c->drain(); });
+        c->drain();
+        EXPECT_EQ(m.now(), inl.now());
+        EXPECT_EQ(m.memAccesses(), inl.memAccesses());
+        EXPECT_EQ(m.spanHistogram(Machine::Span::Check).count(),
+                  inl.spanHistogram(Machine::Span::Check).count());
+        ASSERT_EQ(trace.size(), inlTrace.size());
+        EXPECT_TRUE(trace.events() == inlTrace.events());
+        c.reset();
     }
 }
 
@@ -344,7 +490,7 @@ runExec(const ExecProgram &p, bool interp, bool inlineModel)
     const PoolId pool = rt.createPool("exec", 32 << 20);
     streamWork(rt, Runtime::kCompanionAfterEvents);
     ExecOutcome o;
-    o.onCompanionBefore = rt.modelOnCompanion();
+    o.onCompanionBefore = rt.modelStages() > 0;
     if (interp) {
         Interpreter::Config icfg;
         icfg.pool = pool;
@@ -362,7 +508,7 @@ runExec(const ExecProgram &p, bool interp, bool inlineModel)
     }
     // Events after the call go back through the ring.
     streamWork(rt, 1000);
-    o.onCompanionAfter = rt.modelOnCompanion();
+    o.onCompanionAfter = rt.modelStages() > 0;
     o.cycles = rt.machine().now();
     return o;
 }
@@ -405,7 +551,7 @@ TEST(ModelCompanionRules, ExecutorCallStartsNoCompanion)
     ex.call("main", {256, 200});
     rt.machine().setTrace(nullptr);
     EXPECT_GT(trace.size(), 2 * Runtime::kCompanionAfterEvents);
-    EXPECT_FALSE(rt.modelOnCompanion());
+    EXPECT_EQ(rt.modelStages(), 0u);
 }
 
 TEST(ModelCompanionRules, TwoShardFleetStartsNoCompanion)
@@ -417,7 +563,7 @@ TEST(ModelCompanionRules, TwoShardFleetStartsNoCompanion)
     ShardedRuntime fleet(cfg);
     fleet.runOnShards([&](unsigned s) {
         streamWork(fleet.runtime(s), Runtime::kCompanionAfterEvents);
-        EXPECT_FALSE(fleet.runtime(s).modelOnCompanion());
+        EXPECT_EQ(fleet.runtime(s).modelStages(), 0u);
         EXPECT_EQ(ModelCompanion::live(), live);
     });
     EXPECT_EQ(ModelCompanion::live(), live);
@@ -432,7 +578,7 @@ TEST(ModelCompanionRules, SingleShardFleetMatchesPlainRuntime)
         Tree tree(MemEnv::persistentEnv(rt, pool));
         for (std::uint64_t i = 0; i < 2000; ++i)
             tree.insert(i * 7 % 4096, i);
-        return rt.modelOnCompanion();
+        return rt.modelStages();
     };
 
     ShardedRuntime::Config fcfg;
@@ -440,22 +586,22 @@ TEST(ModelCompanionRules, SingleShardFleetMatchesPlainRuntime)
     fcfg.runtime = rcfg;
     fcfg.poolSize = 4 << 20;
     ShardedRuntime fleet(fcfg);
-    bool fleetOn = false;
+    unsigned fleetOn = 0;
     fleet.runOnShards([&](unsigned s) {
         fleetOn = work(fleet.runtime(s), fleet.pool(s));
     });
+    // Free the fleet's slots so the plain runtime gets as many.
+    fleet.runtime(0).keepModelInline();
 
     Runtime plain(rcfg);
-    bool plainOn = false;
+    unsigned plainOn = 0;
     {
         RuntimeScope scope(plain);
         plainOn = work(plain, plain.createPool(fcfg.poolName,
                                                fcfg.poolSize));
     }
     EXPECT_EQ(fleetOn, plainOn);
-    if (companionsPossible()) {
-        EXPECT_TRUE(plainOn);
-    }
+    EXPECT_EQ(plainOn, std::min(ModelCompanion::budget(), 2u));
     Machine &f = fleet.runtime(0).machine();
     Machine &m = plain.machine();
     EXPECT_EQ(f.now(), m.now());
