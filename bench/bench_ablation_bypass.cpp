@@ -29,7 +29,7 @@ runWithFront(Workload w, MmuFrontModel model)
     Runtime::Config cfg;
     cfg.version = Version::Hw;
     cfg.seed = 0xB0;
-    cfg.mmuFront = model;
+    cfg.machine.mmuFront = model;
     Runtime rt(cfg);
     RuntimeScope scope(rt);
     const PoolId pool = rt.createPool("bench", 512 << 20);
@@ -80,7 +80,7 @@ runMixed(MmuFrontModel model)
     Runtime::Config cfg;
     cfg.version = Version::Hw;
     cfg.seed = 0xB0;
-    cfg.mmuFront = model;
+    cfg.machine.mmuFront = model;
     Runtime rt(cfg);
     RuntimeScope scope(rt);
     const PoolId pool = rt.createPool("bench", 256 << 20);

@@ -27,17 +27,6 @@
 namespace upr
 {
 
-/** How the MMU front (POLB/VALB before the TLB) is modeled. */
-enum class MmuFrontModel
-{
-    /** Probe delay not modeled (the calibrated default). */
-    None,
-    /** Every access pays the probe delay (no prediction). */
-    Always,
-    /** The bypass predictor skips the delay for non-PMO accesses. */
-    Predicted,
-};
-
 /** Page-granular PMO/non-PMO predictor (2-bit counters). */
 class BypassPredictor
 {

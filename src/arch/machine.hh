@@ -6,11 +6,12 @@
  * Snipersim-substitute and the only code that charges simulated
  * time. The UPR runtime (src/core/runtime.hh) is its Pin-style
  * frontend: it emits the memory events the instrumented workloads
- * make, either as direct calls or, once a plain Runtime has run long
- * enough, as records through a ring to a companion that applies them
- * on its behalf (arch/model_companion.hh). Trace replay
- * (arch/trace.hh) drives a fresh Machine with a recorded stream of
- * the same events through the same apply().
+ * make as TraceEvent records and applies each through apply() itself
+ * or, once a plain Runtime has run long enough, pushes it through a
+ * ring to a companion that applies it on its behalf
+ * (arch/model_companion.hh). Trace replay (arch/trace.hh) drives a
+ * fresh Machine with a recorded stream of the same records through
+ * the same apply(); the Machine itself records nothing.
  *
  * The model is split in two stages by what their state depends on:
  *  - the memory stage (memoryStage: MMU-front bypass predictor, TLBs,
@@ -18,18 +19,18 @@
  *    never reads the clock;
  *  - the clock stage (chargeAccess and every other event: clock,
  *    branch predictor, pending-storeP wait, storeP unit, spans, core
- *    counters, trace appends) charges the memory stage's latencies in
- *    event order.
+ *    counters) charges the memory stage's latencies in event order.
  * memAccess() and apply() run the two back to back; a two-stage
  * companion runs applyMemoryStage() and applyClockStage() on two
- * threads, the first writing each access's latencies into its record.
+ * threads, the first writing each access's latency into its record.
  *
  * The POLB and VALB are the exception: their lookups return the
  * translated address and can fault, so the frontend probes them
  * synchronously (xlat) and only the latency reaches the clock, as a
- * tick or inside a storeP. Nothing else in here raises a fault (a
- * Trace append can only run out of memory), so a frontend fault
- * leaves every event already emitted valid.
+ * tick or inside a storeP; those latencies are the only fixed ticks
+ * a replay cannot re-time. Nothing that applies an event allocates
+ * or throws (apply() and both stages are noexcept), so a frontend
+ * fault leaves every event already emitted valid.
  */
 
 #ifndef UPR_ARCH_MACHINE_HH
@@ -86,23 +87,7 @@ class Machine
     Cycles now() const { return now_; }
 
     /** Advance the clock by @p n cycles of non-memory work. */
-    void
-    tick(Cycles n)
-    {
-        now_ += n;
-        if (trace_ && n > 0)
-            trace_->append({TraceEvent::Kind::Tick, n});
-    }
-
-    /**
-     * Attach a trace to record this machine's event stream into
-     * (Sniper trace mode); nullptr detaches. For exact replays,
-     * attach before the first event.
-     */
-    void setTrace(Trace *trace) { trace_ = trace; }
-
-    /** Select how the MMU-front probe delay is modeled. */
-    void setMmuFrontModel(MmuFrontModel model) { mmuFront_ = model; }
+    void tick(Cycles n) { now_ += n; }
 
     /** The bypass predictor (stats for the ablation bench). */
     BypassPredictor &bypass() { return bypass_; }
@@ -122,13 +107,13 @@ class Machine
     memAccess(SimAddr va, bool is_write, AccessKind kind)
     {
         const MemLatency m = memoryStage(va, is_write);
-        chargeAccess(va, is_write, kind, m);
+        chargeAccess(va, kind, m.front + m.access);
         return m.access;
     }
 
     /**
      * True when no access can take longer than a ring record's
-     * latency fields hold, so the memory stage may run ahead on its
+     * latency field holds, so the memory stage may run ahead on its
      * own thread (always, short of absurd MachineParams).
      */
     bool
@@ -139,8 +124,7 @@ class Machine
             p.l1TlbLatency + p.l2TlbHitLatency + p.pageWalkLatency +
             p.l1Latency + p.l2Latency + p.l3Latency +
             std::max(p.dramLatency, p.nvmLatency);
-        return 2 * p.mmuFrontDelay <= TraceEvent::kFrontMax &&
-               worst <= TraceEvent::kAccessMax;
+        return 2 * p.mmuFrontDelay + worst <= TraceEvent::kLatencyMax;
     }
 
     /**
@@ -149,9 +133,7 @@ class Machine
      * forward the (unconverted) operand early; when forwarding
      * misses — the load straddles the store or arrives at the wrong
      * LSQ moment — the load waits for the storeP's translation.
-     * Forwarding coverage is modeled at 2 of 3 dependent loads. The
-     * wait is charged through tick(), so a trace carries it as fixed
-     * work.
+     * Forwarding coverage is modeled at 2 of 3 dependent loads.
      * @return the access latency charged (the wait excluded)
      */
     Cycles
@@ -169,10 +151,6 @@ class Machine
     bool
     branch(std::uint64_t site, bool taken)
     {
-        if (trace_) {
-            trace_->append({TraceEvent::Kind::Branch, site,
-                            std::uint64_t(taken)});
-        }
         const bool wrong = bpred_.branch(site, taken);
         // One cycle for the branch itself, plus penalty on a miss.
         now_ += 1 + (wrong ? params_.branchMissPenalty : 0);
@@ -201,13 +179,10 @@ class Machine
      * stays pending until the translation completes, for ptrLoad.
      */
     void
-    issueStoreP(SimAddr va, Cycles rs_latency, Cycles rd_latency = 0)
+    issueStoreP(SimAddr va, Cycles rs_latency)
     {
-        if (trace_) {
-            trace_->append(
-                {TraceEvent::Kind::StorePIssue, rs_latency, rd_latency});
-        }
-        now_ += storePUnit_.issue(now_, rs_latency, rd_latency);
+        // Rd is already a virtual address: no translation latency.
+        now_ += storePUnit_.issue(now_, rs_latency, 0);
         if (rs_latency > 0) {
             pendingStoreP_.put(roundDown(va, params_.cacheLineBytes),
                                now_ + rs_latency);
@@ -250,39 +225,43 @@ class Machine
     }
 
     /**
-     * Perform one model event: the call it encodes, exactly as the
-     * frontend would have made it, after any tick the record carries.
-     * Trace replay and a one-stage companion come through here.
+     * Perform one model event: the call it encodes, after any tick the
+     * record carries. The frontend's inline path, trace replay and a
+     * one-stage companion all come through here. Forced inline: on
+     * the frontend's path the kind is a constant, so the switch folds
+     * to the one call it names.
      */
-    void apply(const TraceEvent &e) { applyRecord<false>(e); }
+    [[gnu::always_inline]] void
+    apply(const TraceEvent &e) noexcept
+    {
+        applyRecord<false>(e);
+    }
 
     /**
      * Memory stage of a two-stage companion: run the memory stage of
-     * a MemAccess/PtrLoad record and write its latencies into the
+     * a MemAccess/PtrLoad record and write its latency into the
      * record; other kinds pass untouched.
      */
     void
-    applyMemoryStage(TraceEvent &e)
+    applyMemoryStage(TraceEvent &e) noexcept
     {
         using Kind = TraceEvent::Kind;
         const Kind k = e.kind();
         if (k != Kind::MemAccess && k != Kind::PtrLoad)
             return;
         const MemLatency m = memoryStage(e.a, (e.b() >> 8) & 1);
-        e.kb |= (m.front << TraceEvent::kFrontShift) |
-                (m.access << TraceEvent::kAccessShift);
+        e.kb |= (m.front + m.access) << TraceEvent::kLatencyShift;
     }
 
     /**
      * Clock stage of a two-stage companion: apply() on a record the
-     * memory stage has filled, charging its latencies in order.
+     * memory stage has filled, charging its latency in order.
      */
-    void applyClockStage(const TraceEvent &e) { applyRecord<true>(e); }
-
-    /** Width of each latency in a StoreP event's payload. */
-    static constexpr unsigned kStorePLatencyBits = 28;
-    static constexpr Cycles kStorePLatencyMask =
-        (Cycles{1} << kStorePLatencyBits) - 1;
+    void
+    applyClockStage(const TraceEvent &e) noexcept
+    {
+        applyRecord<true>(e);
+    }
 
     /**
      * Zero every statistic in the machine without disturbing the
@@ -348,7 +327,7 @@ class Machine
         // default; Always/Predicted model the paper's future-work
         // discussion — see arch/bypass.hh).
         Cycles front = 0;
-        switch (mmuFront_) {
+        switch (params_.mmuFront) {
           case MmuFrontModel::None:
             break;
           case MmuFrontModel::Always:
@@ -364,12 +343,11 @@ class Machine
     }
 
     /**
-     * Clock stage of one access: the core counters, the trace (the
-     * front delay as a Tick before the MemAccess) and the clock.
+     * Clock stage of one access: the core counters, and @p latency
+     * (front delay included) on the clock.
      */
     void
-    chargeAccess(SimAddr va, bool is_write, AccessKind kind,
-                 MemLatency m)
+    chargeAccess(SimAddr va, AccessKind kind, Cycles latency)
     {
         ++memAccesses_;
         switch (kind) {
@@ -379,23 +357,11 @@ class Machine
         }
         if (Layout::isNvm(va))
             ++nvmAccesses_;
-        if (m.front > 0) {
-            now_ += m.front;
-            if (trace_)
-                trace_->append({TraceEvent::Kind::Tick, m.front});
-        }
-        if (trace_) {
-            trace_->append({TraceEvent::Kind::MemAccess, va,
-                            (std::uint64_t(is_write) << 8) |
-                                std::uint64_t(kind)});
-        }
-        now_ += m.access;
+        now_ += latency;
     }
 
-    /**
-     * A pointer load's wait on an in-flight storeP to its line (see
-     * ptrLoad), charged through tick().
-     */
+    /** A pointer load's wait on an in-flight storeP to its line (see
+     * ptrLoad). */
     void
     waitForStoreP(SimAddr va)
     {
@@ -414,15 +380,14 @@ class Machine
      * taken from the record (true).
      */
     template <bool Staged>
-    void
+    [[gnu::always_inline]] void
     applyRecord(const TraceEvent &e)
     {
         using Kind = TraceEvent::Kind;
         const std::uint64_t b = e.b();
         const auto access = [&](bool is_write, AccessKind kind) {
             if (Staged) {
-                chargeAccess(e.a, is_write, kind,
-                             {e.frontLatency(), e.accessLatency()});
+                chargeAccess(e.a, kind, e.latency());
             } else {
                 memAccess(e.a, is_write, kind);
             }
@@ -439,19 +404,13 @@ class Machine
           case Kind::Tick:
             tick(e.a);
             break;
-          case Kind::StorePIssue:
-            // A trace carries no store address: the forwarding wait
-            // a pending line causes is already recorded as a Tick.
-            issueStoreP(kNullAddr, e.a, b);
-            break;
           case Kind::PtrLoad:
             tick(e.carriedTick());
             waitForStoreP(e.a);
             access(false, AccessKind::Load);
             break;
           case Kind::StoreP:
-            issueStoreP(e.a, b & kStorePLatencyMask,
-                        b >> kStorePLatencyBits);
+            issueStoreP(e.a, b);
             break;
           case Kind::SpanBegin:
             spanBegin(static_cast<Span>(e.a));
@@ -473,15 +432,11 @@ class Machine
     alignas(64) CacheHierarchy caches_;
     TlbHierarchy tlbs_;
     BypassPredictor bypass_;
-    MmuFrontModel mmuFront_ = MmuFrontModel::None;
 
     // Clock stage (and the members below it, up to the POLB).
     alignas(64) Cycles now_ = 0;
     BranchPredictor bpred_;
     StorePUnit storePUnit_;
-
-    /** Optional trace recording sink (not owned). */
-    Trace *trace_ = nullptr;
 
     StatGroup stats_;
     Counter memAccesses_;

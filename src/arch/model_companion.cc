@@ -9,7 +9,6 @@
 #endif
 
 #include "arch/machine.hh"
-#include "common/logging.hh"
 
 namespace upr
 {
@@ -141,10 +140,7 @@ ModelCompanion::~ModelCompanion()
 {
     if (!threads_[0].joinable())
         return; // start() failed before a thread ran
-    catchUp();
-    if (error_)
-        upr_warn("a model event failed on the companion thread after "
-                 "the last sync; the model missed it");
+    drain();
     stop_.store(true, std::memory_order_seq_cst);
     ring(published_.bell);
     ring(staged_.bell);
@@ -177,15 +173,7 @@ ModelCompanion::publish()
 }
 
 void
-ModelCompanion::drain()
-{
-    catchUp();
-    if (error_)
-        std::rethrow_exception(std::exchange(error_, nullptr));
-}
-
-void
-ModelCompanion::catchUp()
+ModelCompanion::drain() noexcept
 {
     if (carried_ != 0) {
         append({TraceEvent::Kind::Tick, carried_});
@@ -272,16 +260,8 @@ ModelCompanion::runStage(Cursor &in, Cursor &out, Apply apply)
             // Hand on once per batch so the side behind resumes early.
             const std::uint64_t end =
                 std::min(avail, (tail | (kBatch - 1)) + 1);
-            try {
-                for (; tail != end; ++tail)
-                    apply(ring[tail & (kRecords - 1)]);
-            } catch (...) {
-                // Keep the first failure for drain() and go on: the
-                // owner must still be able to catch up.
-                if (!error_)
-                    error_ = std::current_exception();
-                tail = end;
-            }
+            for (; tail != end; ++tail)
+                apply(ring[tail & (kRecords - 1)]);
             advance(out, tail);
         }
     }

@@ -3,23 +3,25 @@
  * ModelCompanion: the timing model on other cores — the split Sniper
  * makes between its Pin frontend and its interval simulator.
  *
- * The owner of a Runtime (the producer) turns each Machine call of
- * its hot path into a 16-byte TraceEvent and pushes it into a
- * bounded single-producer/single-consumer ring. A tick is held back
- * and carried in the next MemAccess/PtrLoad/Branch record when one
- * comes first (TraceEvent::carriedTick); any other record or a drain
- * sends it on as a Tick record of its own.
+ * The owner of a Runtime (the producer) pushes each model event it
+ * emits, a 16-byte TraceEvent, into a bounded single-producer/
+ * single-consumer ring. A Tick is held back and carried in the next
+ * MemAccess/PtrLoad/Branch record when one comes first
+ * (TraceEvent::carriedTick); any other record or a drain sends it on
+ * as a Tick record of its own.
  *
  * The companion applies every record, in order, to the one Machine,
- * so the simulated clock, every counter, both span histograms and a
- * recorded Trace come out exactly as if the owner had made the calls
- * itself. It runs as a pipeline of one or two threads over the ring:
+ * so the simulated clock, every counter and both span histograms come
+ * out exactly as if the owner had applied the events itself. Nothing
+ * it applies can throw (Machine::apply and its stages are noexcept),
+ * so there is no failure to hand back. It runs as a pipeline of one
+ * or two threads over the ring:
  *  - two stages: the memory stage (Machine::applyMemoryStage: MMU
  *    front, TLBs, caches, whose state never reads the clock) writes
- *    each access's latencies into its record, and the clock stage
+ *    each access's latency into its record, and the clock stage
  *    (Machine::applyClockStage: clock, branch predictor, storeP unit
- *    and pending-storeP table, spans, core counters, trace) charges
- *    them in record order, behind the memory stage's cursor;
+ *    and pending-storeP table, spans, core counters) charges them in
+ *    record order, behind the memory stage's cursor;
  *  - one stage: one thread calls Machine::apply on each record.
  *
  * Ring shape (measured starting points, docs/PERFORMANCE.md):
@@ -49,7 +51,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <thread>
 
@@ -81,10 +82,18 @@ class ModelCompanion
     ModelCompanion(const ModelCompanion &) = delete;
     ModelCompanion &operator=(const ModelCompanion &) = delete;
 
-    /** Append one record (the owner only); waits while the ring is full. */
-    void
+    /**
+     * Append one record (the owner only); waits while the ring is
+     * full. A Tick is held to ride on the next carrier when it can.
+     * Forced inline: with the kind a constant only one path is left.
+     */
+    [[gnu::always_inline]] void
     push(TraceEvent e)
     {
+        if (e.kind() == TraceEvent::Kind::Tick) {
+            holdTick(e.a);
+            return;
+        }
         if (carried_ != 0) {
             if (TraceEvent::carries(e.kind()))
                 e.kb |= carried_ << TraceEvent::kCarryShift;
@@ -95,26 +104,11 @@ class ModelCompanion
         append(e);
     }
 
-    /** Charge @p n cycles of fixed work, carried when it can be. */
-    void
-    pushTick(Cycles n)
-    {
-        if (carried_ != 0)
-            append({TraceEvent::Kind::Tick, carried_});
-        carried_ = n;
-        if (n > TraceEvent::kCarryMax) {
-            append({TraceEvent::Kind::Tick, n});
-            carried_ = 0;
-        }
-    }
-
     /**
      * Return once every pushed record has been applied. Afterwards
      * the caller may use the Machine directly until its next push.
-     * Rethrows what applying a record threw since the last drain
-     * (only an allocation can: a Trace append).
      */
-    void drain();
+    void drain() noexcept;
 
     /** Threads in the pipeline: 1 or 2. */
     unsigned stages() const { return stages_; }
@@ -157,6 +151,19 @@ class ModelCompanion
         std::atomic<bool> readerWaiting{false};
     };
 
+    /** Hold a tick of @p n cycles for the next carrier. */
+    void
+    holdTick(Cycles n)
+    {
+        if (carried_ != 0)
+            append({TraceEvent::Kind::Tick, carried_});
+        carried_ = n;
+        if (n > TraceEvent::kCarryMax) {
+            append({TraceEvent::Kind::Tick, n});
+            carried_ = 0;
+        }
+    }
+
     /** Store one record in the ring. */
     void
     append(const TraceEvent &e)
@@ -170,8 +177,6 @@ class ModelCompanion
     void publish();
     /** Store @p pos in @p c and wake its reader if it sleeps. */
     static void advance(Cursor &c, std::uint64_t pos);
-    /** drain() without the rethrow. */
-    void catchUp();
     /** Producer side: wait until @p target records are applied. */
     void waitConsumed(std::uint64_t target);
     /** Stage side: wait for @p in to pass @p tail, or a stop. */
@@ -198,8 +203,6 @@ class ModelCompanion
     Cursor staged_;
     /** Written by the last stage: records fully applied. */
     Cursor consumed_;
-    /** First failure since the last drain; published by consumed_. */
-    std::exception_ptr error_;
 
     // Set up once, before the threads start.
     alignas(64) std::unique_ptr<TraceEvent[]> storage_;

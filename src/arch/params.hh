@@ -21,6 +21,17 @@
 namespace upr
 {
 
+/** How the MMU front (POLB/VALB before the TLB) is modeled. */
+enum class MmuFrontModel
+{
+    /** Probe delay not modeled (the calibrated default). */
+    None,
+    /** Every access pays the probe delay (no prediction). */
+    Always,
+    /** The bypass predictor skips the delay for non-PMO accesses. */
+    Predicted,
+};
+
 /** Tunable machine configuration; defaults follow paper Table IV. */
 struct MachineParams
 {
@@ -78,9 +89,17 @@ struct MachineParams
     std::uint32_t storePFsmEntries = 32;
 
     /**
+     * MMU-front modeling: the POLB/VALB probe ahead of the TLB,
+     * optionally hidden by the non-PMO bypass predictor (the paper's
+     * future work; see arch/bypass.hh). None keeps the calibrated
+     * behaviour; the Runtime forces None for the Volatile and Sw
+     * versions, which have no POLB/VALB.
+     */
+    MmuFrontModel mmuFront = MmuFrontModel::None;
+    /**
      * POLB/VALB probe delay in front of the TLB (Sec V-A notes the
      * structures "add small delay to the critical path"); applied
-     * per access when the MMU front model is Always or Predicted.
+     * per access when mmuFront is Always or Predicted.
      */
     Cycles mmuFrontDelay = 1;
     /** Bypass-predictor table entries (power of two). */

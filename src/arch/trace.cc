@@ -5,6 +5,12 @@
 namespace upr
 {
 
+void
+Trace::append(TraceEvent e)
+{
+    events_.push_back(e);
+}
+
 ReplayResult
 replayTrace(const Trace &trace, const MachineParams &params)
 {

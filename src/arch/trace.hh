@@ -1,40 +1,42 @@
 /**
  * @file
- * Trace record/replay — the Sniper "trace mode" analogue — and the
- * 16-byte model event both ride on.
+ * The 16-byte model event, and trace record/replay — the Sniper
+ * "trace mode" analogue.
  *
- * A Trace captures the machine-level event stream of one run: memory
- * accesses, branches with outcomes, storeP issues, and fixed-latency
- * work. Replay feeds the stream to a fresh Machine through the same
- * entry point the live run's model events take (Machine::apply), so
- * the re-parameterizable components (TLBs, caches, memory latencies,
- * branch predictor, storeP FSM buffer) are re-simulated under a
- * *different* MachineParams without re-running the workload — and
- * replaying under the original parameters reproduces the original
- * counters exactly (tested).
+ * A TraceEvent is one call of the Runtime (the Pin-style frontend) on
+ * its timing model: a memory access, a pointer load, a storeP with
+ * its address and translation latency, a branch with its outcome,
+ * fixed-latency work, or a histogram span mark. The Runtime builds
+ * every event in one place and either applies it inline through
+ * Machine::apply or pushes it into the companion's ring
+ * (arch/model_companion.hh). While a Trace is attached to the Runtime
+ * it also appends each event there first: a trace is the frontend's
+ * own event stream, nothing the Machine writes.
  *
- * Translation latencies (POLB/VALB lookups), MMU-front probe delays
- * and the wait of a pointer load on an in-flight storeP are carried
- * as fixed events: parameter sweeps over those structures still need
- * a live run (bench_sens_memory does that); sweeps over cache
- * geometry, memory latency, TLBs, and the predictor work from the
- * trace alone. A trace lives in memory only; there is no file format.
+ * Replay feeds the stream to a fresh Machine through the same
+ * Machine::apply, so every timing component is re-simulated under a
+ * *different* MachineParams without re-running the workload: TLBs,
+ * caches, memory latencies, the branch predictor, the MMU-front
+ * bypass predictor and probe delay, the storeP FSM buffer and the
+ * wait of a pointer load on an in-flight storeP. Replaying under the
+ * original parameters reproduces the original counters exactly
+ * (tested). Only the POLB/VALB lookup latencies are fixed Ticks: the
+ * frontend probes those structures itself, because a lookup returns
+ * an address and may fault, so sweeps over them still need a live
+ * run (bench_sens_memory does that). A trace lives in memory only;
+ * there is no file format.
  *
- * TraceEvent is also the record of the runtime's model-event ring
- * (arch/model_companion.hh): the frontend-only kinds below carry the
- * Machine calls a trace records in expanded form (a pointer load, a
- * storeP with its address) and the histogram span marks. A ring
- * record of a carrier kind (MemAccess, PtrLoad, Branch) may also hold
- * a tick the model charges just before the event, and a two-stage
- * companion's memory stage writes an access's latencies into its
- * record for the clock stage; both sit above the kind's own payload,
- * where a recorded trace keeps zeros.
+ * In the ring, a record of a carrier kind (MemAccess, PtrLoad,
+ * Branch) may also hold a tick the model charges just before the
+ * event, and a two-stage companion's memory stage writes an access's
+ * latency into its record for the clock stage; both sit above the
+ * kind's own payload, where a recorded trace keeps zeros.
  */
 
 #ifndef UPR_ARCH_TRACE_HH
 #define UPR_ARCH_TRACE_HH
 
-#include <vector>
+#include <deque>
 
 #include "arch/params.hh"
 #include "common/types.hh"
@@ -47,15 +49,13 @@ struct TraceEvent
 {
     enum class Kind : std::uint8_t
     {
-        MemAccess,   //!< a = va; b = (write<<8)|accessKind
-        Branch,      //!< a = site; b = taken
-        Tick,        //!< a = cycles of fixed-latency work
-        StorePIssue, //!< a = rs translation latency; b = rd latency
-        // Model-event ring only; a Trace never holds these.
-        PtrLoad,     //!< a = va
-        StoreP,      //!< a = va; b = rs latency | rd latency << 28
-        SpanBegin,   //!< a = Machine::Span
-        SpanEnd,     //!< a = Machine::Span
+        MemAccess, //!< a = va; b = (write<<8)|accessKind
+        Branch,    //!< a = site; b = taken
+        Tick,      //!< a = cycles of fixed-latency work
+        PtrLoad,   //!< a = va
+        StoreP,    //!< a = va; b = rs translation latency
+        SpanBegin, //!< a = Machine::Span
+        SpanEnd,   //!< a = Machine::Span
     };
 
     static constexpr unsigned kKindShift = 56;
@@ -63,21 +63,20 @@ struct TraceEvent
         (std::uint64_t{1} << kKindShift) - 1;
 
     // Ring-only fields of b, above the 9 bits a MemAccess uses:
-    // [9, 26) a carried tick, [26, 36) the MMU-front latency and
-    // [36, 56) the TLB + cache latency.
+    // [9, 26) a carried tick and [26, 56) the access latency the
+    // memory stage found (MMU front + TLB + caches + memory).
     static constexpr unsigned kCarryShift = 9;
-    static constexpr unsigned kFrontShift = 26;
-    static constexpr unsigned kAccessShift = 36;
+    static constexpr unsigned kLatencyShift = 26;
     static constexpr Cycles kCarryMax =
-        (Cycles{1} << (kFrontShift - kCarryShift)) - 1;
-    static constexpr Cycles kFrontMax =
-        (Cycles{1} << (kAccessShift - kFrontShift)) - 1;
-    static constexpr Cycles kAccessMax =
-        (Cycles{1} << (kKindShift - kAccessShift)) - 1;
+        (Cycles{1} << (kLatencyShift - kCarryShift)) - 1;
+    static constexpr Cycles kLatencyMax =
+        (Cycles{1} << (kKindShift - kLatencyShift)) - 1;
 
     TraceEvent() = default;
+    /** @p b_ is masked to the payload, so kind() of an event built
+     * from a constant kind is a compile-time constant. */
     constexpr TraceEvent(Kind k, std::uint64_t a_, std::uint64_t b_ = 0)
-        : a(a_), kb((std::uint64_t(k) << kKindShift) | b_)
+        : a(a_), kb((std::uint64_t(k) << kKindShift) | (b_ & kPayloadMask))
     {}
 
     Kind kind() const { return static_cast<Kind>(kb >> kKindShift); }
@@ -92,11 +91,7 @@ struct TraceEvent
     }
     /** The tick charged before this event (0: none). */
     Cycles carriedTick() const { return (kb >> kCarryShift) & kCarryMax; }
-    Cycles frontLatency() const { return (kb >> kFrontShift) & kFrontMax; }
-    Cycles accessLatency() const
-    {
-        return (kb >> kAccessShift) & kAccessMax;
-    }
+    Cycles latency() const { return (kb >> kLatencyShift) & kLatencyMax; }
 
     bool
     operator==(const TraceEvent &o) const
@@ -110,19 +105,28 @@ struct TraceEvent
 };
 static_assert(sizeof(TraceEvent) == 16, "two words per event");
 
-/** A recorded event stream. */
+/**
+ * A recorded event stream. Stored in chunks, so an append never
+ * copies the events already recorded: a trace's peak memory is its
+ * own size, not twice it.
+ */
 class Trace
 {
   public:
-    /** Append one event (called by the Machine's trace hook). */
-    void append(const TraceEvent &e) { events_.push_back(e); }
+    /**
+     * Append one event (called by the Runtime's emit path). Out of
+     * line, to keep that path small where nothing records; by value,
+     * so the caller's record stays in registers and its kind a
+     * constant.
+     */
+    void append(TraceEvent e);
 
-    const std::vector<TraceEvent> &events() const { return events_; }
+    const std::deque<TraceEvent> &events() const { return events_; }
     std::size_t size() const { return events_.size(); }
     void clear() { events_.clear(); }
 
   private:
-    std::vector<TraceEvent> events_;
+    std::deque<TraceEvent> events_;
 };
 
 /** The replaying Machine's counters. */

@@ -30,20 +30,30 @@ execTierName(ExecTier t)
 
 Runtime::Runtime() : Runtime(Config{}) {}
 
+namespace
+{
+
+/** @p c with the MMU front off where no POLB/VALB sits before the TLB. */
+Runtime::Config
+withFrontModel(Runtime::Config c)
+{
+    if (c.version == Version::Volatile || c.version == Version::Sw)
+        c.machine.mmuFront = MmuFrontModel::None;
+    return c;
+}
+
+} // namespace
+
 Runtime::Runtime(Config config)
-    : config_(config),
+    : config_(withFrontModel(config)),
       space_(),
       heap_(space_),
       pools_(space_, config.placement, config.seed),
-      machine_(config.machine, pools_),
+      machine_(config_.machine, pools_),
       reuse_(config.machine.reuseBufferEntries),
       stats_("upr")
 {
     upr_assert(isPow2(config_.machine.reuseBufferEntries));
-    if (config_.version == Version::Hw ||
-        config_.version == Version::Explicit) {
-        machine_.setMmuFrontModel(config_.mmuFront);
-    }
     if (config_.persistHeap && config_.version != Version::Volatile) {
         // libvmmalloc: the whole heap lives in one persistent pool.
         vmPool_ = pools_.createPool("__vmmalloc",
@@ -99,21 +109,6 @@ Runtime::tryStartCompanion()
         return;
     companion_ = ModelCompanion::start(machine_);
     ring_ = companion_.get();
-}
-
-void
-Runtime::modelStoreP(SimAddr va, Cycles rs_latency)
-{
-    if (!ring_) {
-        machine_.issueStoreP(va, rs_latency);
-        countInlineEvent();
-    } else if (rs_latency <= Machine::kStorePLatencyMask) {
-        ring_->push({TraceEvent::Kind::StoreP, va, rs_latency});
-    } else {
-        // Too long for the record: catch up and make the call here.
-        ring_->drain();
-        machine_.issueStoreP(va, rs_latency);
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -419,8 +414,7 @@ Runtime::storePtr(SimAddr loc_va, PtrBits value, std::uint64_t site)
 
     // HW version: the storeP instruction (Table I). Rs may need
     // translation through VALB (va2ra) or POLB (ra2va) inside the
-    // FSM; Rd here is already a virtual address, so its translation
-    // latency is zero.
+    // FSM; Rd here is already a virtual address (Machine::issueStoreP).
     Cycles rs_latency = 0;
     PtrBits out = value;
     if (!PtrRepr::isNull(value)) {
@@ -455,7 +449,7 @@ Runtime::storePtr(SimAddr loc_va, PtrBits value, std::uint64_t site)
             out = PtrRepr::fromVa(r.value);
         }
     }
-    modelStoreP(loc_va, rs_latency);
+    emit({TraceEvent::Kind::StoreP, loc_va, rs_latency});
     modelMemAccess(loc_va, true, Machine::AccessKind::StoreP);
     space_.write<PtrBits>(loc_va, out);
     modelSpan(TraceEvent::Kind::SpanEnd, Machine::Span::Assign);

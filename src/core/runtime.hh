@@ -22,11 +22,12 @@
  * Fig 15 (storeP / VALB / POLB access fractions) accumulate here.
  *
  * The runtime is the functional frontend of the timing model: every
- * simulated cost reaches its Machine as a model event. A plain
- * Runtime calls the Machine directly for its first
- * kCompanionAfterEvents events, then moves the model to a companion
- * thread (arch/model_companion.hh) and pushes the events through a
- * ring instead — unless it is a shard of a multi-shard fleet
+ * simulated cost reaches its Machine as a model event (a TraceEvent),
+ * built in one place (emit), recorded into an attached Trace, and
+ * applied. A plain Runtime applies its first kCompanionAfterEvents
+ * events inline through Machine::apply, then moves the model to a
+ * companion thread (arch/model_companion.hh) and pushes the events
+ * through a ring instead — unless it is a shard of a multi-shard fleet
  * (keepModelInline), an IR executor call is running on it
  * (InlineModelScope), or the process already runs its budget of
  * companions. Either way the results are bit-identical; reads of the
@@ -164,14 +165,6 @@ class Runtime
         Bytes persistHeapPoolSize = 256ULL << 20;
 
         /**
-         * MMU-front modeling for the HW/Explicit versions: the
-         * POLB/VALB probe ahead of the TLB, optionally hidden by the
-         * non-PMO bypass predictor (the paper's future work; see
-         * arch/bypass.hh). None keeps the calibrated behaviour.
-         */
-        MmuFrontModel mmuFront = MmuFrontModel::None;
-
-        /**
          * Default execution tier for compiled-IR runs against this
          * runtime: FastExecutor instances constructed without an
          * explicit tier inherit it (the Interpreter is always
@@ -221,11 +214,32 @@ class Runtime
      * move its model to a companion thread (and between retries). */
     static constexpr std::uint64_t kCompanionAfterEvents = 65536;
 
+    // The model* calls are forced inline, as emit is: each sits under
+    // a simulated operation, and an outlined copy costs a call per
+    // event and loses the constant kind.
+
     /** Charge @p n cycles of fixed work. Never waits for the model. */
-    void modelTick(Cycles n);
+    [[gnu::always_inline]] void
+    modelTick(Cycles n)
+    {
+        emit({TraceEvent::Kind::Tick, n});
+    }
 
     /** One program branch through the predictor; never waits. */
-    void modelBranch(std::uint64_t site, bool taken);
+    [[gnu::always_inline]] void
+    modelBranch(std::uint64_t site, bool taken)
+    {
+        emit({TraceEvent::Kind::Branch, site, taken});
+    }
+
+    /**
+     * Append every model event this runtime emits from now on to
+     * @p trace (Sniper trace mode), until it is detached with
+     * nullptr; replay it with replayTrace. For an exact replay,
+     * attach before the first event. Needs no sync: the owner
+     * records each event before it is applied or pushed.
+     */
+    void setTrace(Trace *trace) { trace_ = trace; }
 
     /** Return once the model has applied every event emitted so far. */
     void syncModel() const;
@@ -251,7 +265,7 @@ class Runtime
         explicit InlineModelScope(Runtime &rt) : rt_(rt)
         {
             if (rt_.inlineDepth_ == 0 && rt_.ring_) {
-                rt_.ring_->drain(); // may rethrow: nothing changed yet
+                rt_.ring_->drain();
                 rt_.ring_ = nullptr;
             }
             ++rt_.inlineDepth_;
@@ -574,14 +588,28 @@ class Runtime
     }
 
   private:
-    // Model events the operations above emit (see modelTick).
-    void modelMemAccess(SimAddr va, bool is_write,
-                        Machine::AccessKind kind);
-    void modelPtrLoad(SimAddr va);
-    void modelStoreP(SimAddr va, Cycles rs_latency);
-    void modelSpan(TraceEvent::Kind mark, Machine::Span span);
-    /** Count one inline event; past the threshold, try a companion. */
-    void countInlineEvent();
+    /**
+     * The one path of every model event: append it to the attached
+     * trace, then push it into the companion's ring or apply it
+     * inline (counting it towards a companion start). Forced inline,
+     * so each call site's constant kind selects its Machine call and
+     * ring path at compile time.
+     */
+    void emit(const TraceEvent &e);
+
+    [[gnu::always_inline]] void
+    modelMemAccess(SimAddr va, bool is_write, Machine::AccessKind kind)
+    {
+        emit({TraceEvent::Kind::MemAccess, va,
+              (std::uint64_t(is_write) << 8) | std::uint64_t(kind)});
+    }
+
+    [[gnu::always_inline]] void
+    modelSpan(TraceEvent::Kind mark, Machine::Span span)
+    {
+        emit({mark, std::uint64_t(span)});
+    }
+
     void tryStartCompanion();
 
     /** POLB ra2va on the frontend; the latency goes out as a tick. */
@@ -622,6 +650,8 @@ class Runtime
      * starts), else straight to machine_.
      */
     ModelCompanion *ring_ = nullptr;
+    /** Where emit() records events (not owned; null: nowhere). */
+    Trace *trace_ = nullptr;
     /** Inline model events left before the next companion attempt. */
     std::uint64_t untilCompanion_ = kCompanionAfterEvents;
     /** Open InlineModelScopes. */
@@ -704,72 +734,18 @@ class ScopedTxnLogHint
 // lets callers in other translation units inline them without LTO.
 // ----------------------------------------------------------------------
 
-inline void
-Runtime::countInlineEvent()
+[[gnu::always_inline]] inline void
+Runtime::emit(const TraceEvent &e)
 {
+    if (trace_) [[unlikely]]
+        trace_->append(e);
+    if (ring_) {
+        ring_->push(e);
+        return;
+    }
+    machine_.apply(e);
     if (--untilCompanion_ == 0)
         tryStartCompanion();
-}
-
-inline void
-Runtime::modelTick(Cycles n)
-{
-    if (ring_) {
-        ring_->pushTick(n);
-        return;
-    }
-    machine_.tick(n);
-    countInlineEvent();
-}
-
-inline void
-Runtime::modelBranch(std::uint64_t site, bool taken)
-{
-    if (ring_) {
-        ring_->push({TraceEvent::Kind::Branch, site, taken});
-        return;
-    }
-    machine_.branch(site, taken);
-    countInlineEvent();
-}
-
-inline void
-Runtime::modelMemAccess(SimAddr va, bool is_write,
-                        Machine::AccessKind kind)
-{
-    if (ring_) {
-        ring_->push({TraceEvent::Kind::MemAccess, va,
-                     (std::uint64_t(is_write) << 8) |
-                         std::uint64_t(kind)});
-        return;
-    }
-    machine_.memAccess(va, is_write, kind);
-    countInlineEvent();
-}
-
-inline void
-Runtime::modelPtrLoad(SimAddr va)
-{
-    if (ring_) {
-        ring_->push({TraceEvent::Kind::PtrLoad, va});
-        return;
-    }
-    machine_.ptrLoad(va);
-    countInlineEvent();
-}
-
-inline void
-Runtime::modelSpan(TraceEvent::Kind mark, Machine::Span span)
-{
-    if (ring_) {
-        ring_->push({mark, std::uint64_t(span)});
-        return;
-    }
-    if (mark == TraceEvent::Kind::SpanBegin)
-        machine_.spanBegin(span);
-    else
-        machine_.spanEnd(span);
-    countInlineEvent();
 }
 
 inline SimAddr
@@ -895,7 +871,7 @@ Runtime::resolveForAccess(PtrBits p, std::uint64_t site)
 inline PtrBits
 Runtime::loadPtr(SimAddr loc_va)
 {
-    modelPtrLoad(loc_va);
+    emit({TraceEvent::Kind::PtrLoad, loc_va});
     return space_.read<PtrBits>(loc_va);
 }
 

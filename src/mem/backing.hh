@@ -127,7 +127,13 @@ class ByteStore
     std::uint8_t &operator[](Bytes i) { return data_[i]; }
     const std::uint8_t &operator[](Bytes i) const { return data_[i]; }
 
-    /** Grow to @p new_size, preserving content, zero-filling the tail. */
+    /**
+     * Grow to @p new_size, preserving content, zero-filling the tail.
+     * Growth touches no page that was never written, so a mostly
+     * empty store grows at no resident cost: on Linux the mapping is
+     * moved and extended by mremap, elsewhere only non-zero pages are
+     * copied.
+     */
     void
     resize(Bytes new_size)
     {
@@ -135,9 +141,28 @@ class ByteStore
             size_ = new_size;
             return;
         }
+#if defined(__linux__)
+        if (mapBytes_ > 0) {
+            const Bytes mapped = std::min(mapBytes_, new_size);
+            if (new_size > mapBytes_) {
+                void *p = ::mremap(data_, mapBytes_, new_size,
+                                   MREMAP_MAYMOVE);
+                if (p == MAP_FAILED) {
+                    throw Fault(FaultKind::BadUsage,
+                                "cannot grow backing storage");
+                }
+                data_ = static_cast<std::uint8_t *>(p);
+                mapBytes_ = new_size;
+            }
+            // Bytes an earlier shrink left in the mapping read as zero
+            // again; the extension is zero already.
+            std::memset(data_ + size_, 0, mapped - size_);
+            size_ = new_size;
+            return;
+        }
+#endif
         ByteStore grown(new_size);
-        if (size_ > 0)
-            std::memcpy(grown.data_, data_, size_);
+        grown.copyNonZeroPages(data_, size_);
         swap(grown);
     }
 

@@ -49,7 +49,7 @@ TEST(MmuFront, PredictionHelpsMixedWorkloads)
         Runtime::Config cfg;
         cfg.version = Version::Hw;
         cfg.seed = 9;
-        cfg.mmuFront = model;
+        cfg.machine.mmuFront = model;
         Runtime rt(cfg);
         RuntimeScope scope(rt);
         const PoolId pool = rt.createPool("p", 16 << 20);
@@ -86,7 +86,7 @@ TEST(MmuFront, VolatileAndSwUnaffected)
             Runtime::Config cfg;
             cfg.version = v;
             cfg.seed = 9;
-            cfg.mmuFront = model;
+            cfg.machine.mmuFront = model;
             Runtime rt(cfg);
             RuntimeScope scope(rt);
             const PoolId pool = rt.createPool("p", 8 << 20);
@@ -107,7 +107,7 @@ TEST(MmuFront, PredictorBypassesMostVolatileTraffic)
     Runtime::Config cfg;
     cfg.version = Version::Hw;
     cfg.seed = 9;
-    cfg.mmuFront = MmuFrontModel::Predicted;
+    cfg.machine.mmuFront = MmuFrontModel::Predicted;
     Runtime rt(cfg);
     RuntimeScope scope(rt);
 

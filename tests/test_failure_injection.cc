@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include "containers/hash_map.hh"
 #include "containers/rb_tree.hh"
 
@@ -132,6 +134,13 @@ TEST(FailureInjection, HeapExhaustionThrowsHeapFull)
     ASSERT_FALSE(blocks.empty());
     rt.storeData<std::uint64_t>(blocks[0], 7);
     EXPECT_EQ(rt.loadData<std::uint64_t>(blocks[0]), 7u);
+#if !defined(UPR_SANITIZE) && !defined(UPR_TSAN)
+    // The heap grew to its cap by doubling; growth must not touch the
+    // pages nothing wrote (sanitizer shadow memory would swamp this).
+    rusage ru{};
+    ASSERT_EQ(getrusage(RUSAGE_SELF, &ru), 0);
+    EXPECT_LT(ru.ru_maxrss, 256L * 1024) << "peak RSS, KiB";
+#endif
 }
 
 TEST(FailureInjection, DanglingRelativePointerAfterDestroyFaults)

@@ -110,7 +110,7 @@ TEST_F(MachineTest, IssueStorePVisibleCostIsSmall)
 {
     Machine m(params, mgr);
     const Cycles before = m.now();
-    m.issueStoreP(0x6000, /*rs=*/30, /*rd=*/0);
+    m.issueStoreP(0x6000, /*rs=*/30);
     // The 30-cycle translation hides in the FSM buffer.
     EXPECT_EQ(m.now() - before, params.storePIssueLatency);
 }

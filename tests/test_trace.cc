@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/trace.hh"
 #include "containers/rb_tree.hh"
 
@@ -11,53 +13,58 @@ using namespace upr;
 namespace
 {
 
-/** A recorded run: its trace and the live Machine's counters. */
+/**
+ * A recorded run: its trace, the live Machine's counters and the
+ * companion stages that applied the run's last events.
+ */
 struct Recorded
 {
     Trace trace;
     ReplayResult live;
+    unsigned stages = 0;
 };
 
 /**
- * Record a small RB-tree workload; with @p txn, every tenth insert
- * runs in its own undo-log transaction.
+ * Record a small RB-tree workload of @p inserts inserts on a plain
+ * runtime; with @p txn, every tenth insert runs in its own undo-log
+ * transaction.
  */
 Recorded
 recordWorkload(Version version, const MachineParams &params,
-               MmuFrontModel front = MmuFrontModel::None,
-               bool txn = false)
+               bool txn = false, std::uint64_t inserts = 400)
 {
     Runtime::Config cfg;
     cfg.version = version;
     cfg.machine = params;
-    cfg.mmuFront = front;
     cfg.seed = 5;
     Runtime rt(cfg);
     RuntimeScope scope(rt);
 
     Recorded rec;
-    rt.machine().setTrace(&rec.trace); // before the first event
+    rt.setTrace(&rec.trace); // before the first event
 
+    const std::uint64_t keys = inserts * 5 / 2;
     const PoolId pool = rt.createPool("t", 16 << 20);
     RbTree<std::uint64_t, std::uint64_t> tree(
         MemEnv::persistentEnv(rt, pool));
-    for (std::uint64_t i = 0; i < 400; ++i) {
+    for (std::uint64_t i = 0; i < inserts; ++i) {
         const bool in_txn = txn && i % 10 == 0;
         if (in_txn)
             rt.beginTxn(pool);
-        tree.insert(i * 13 % 1000, i);
+        tree.insert(i * 13 % keys, i);
         if (in_txn)
             rt.commitTxn();
     }
     std::uint64_t sum = 0;
-    for (std::uint64_t i = 0; i < 1000; ++i)
+    for (std::uint64_t i = 0; i < keys; ++i)
         sum += tree.find(i).value_or(0);
     tree.forEach([&](std::uint64_t k, std::uint64_t v) {
         sum ^= k + v;
     });
     (void)sum;
 
-    rt.machine().setTrace(nullptr);
+    rt.setTrace(nullptr);
+    rec.stages = rt.modelStages();
     Machine &m = rt.machine();
     rec.live.cycles = m.now();
     rec.live.memAccesses = m.memAccesses();
@@ -99,16 +106,45 @@ TEST(Trace, ReplayReproducesPredictedMmuFrontAndTransactions)
     MachineParams params;
     {
         SCOPED_TRACE("HW, predicted MMU front");
-        expectReplayMatchesLive(
-            recordWorkload(Version::Hw, params, MmuFrontModel::Predicted),
-            params);
+        MachineParams predicted = params;
+        predicted.mmuFront = MmuFrontModel::Predicted;
+        expectReplayMatchesLive(recordWorkload(Version::Hw, predicted),
+                                predicted);
     }
     for (Version v : {Version::Sw, Version::Hw}) {
         SCOPED_TRACE(std::string(versionName(v)) + ", transactional");
-        expectReplayMatchesLive(
-            recordWorkload(v, params, MmuFrontModel::None, true),
-            params);
+        expectReplayMatchesLive(recordWorkload(v, params, true), params);
     }
+}
+
+TEST(Trace, ReplayOfACompanionRunReproducesLive)
+{
+    // A plain runtime runs far past the companion threshold, so most
+    // of its events are applied by a companion (two stages when the
+    // budget has two slots); the trace it records is the same stream
+    // and replays to the live counters.
+    MachineParams params;
+    params.mmuFront = MmuFrontModel::Predicted;
+    const Recorded rec = recordWorkload(Version::Hw, params, true, 4000);
+    EXPECT_GT(rec.trace.size(), 4 * Runtime::kCompanionAfterEvents);
+    EXPECT_EQ(rec.stages, std::min(ModelCompanion::budget(), 2u));
+    expectReplayMatchesLive(rec, params);
+}
+
+TEST(Trace, ReplayRetimesMmuFront)
+{
+    // The MMU-front probe delay is simulated on replay, not recorded:
+    // the same trace costs more under a longer delay.
+    MachineParams params;
+    params.mmuFront = MmuFrontModel::Always;
+    const Recorded rec = recordWorkload(Version::Hw, params);
+    expectReplayMatchesLive(rec, params);
+
+    MachineParams slower = params;
+    slower.mmuFrontDelay = 5;
+    const ReplayResult r = replayTrace(rec.trace, slower);
+    EXPECT_GT(r.cycles, rec.live.cycles);
+    EXPECT_EQ(r.memAccesses, rec.live.memAccesses);
 }
 
 TEST(Trace, ReplayCountsMatchSemantics)
@@ -158,8 +194,8 @@ TEST(Trace, DetachedSinkRecordsNothing)
     Runtime rt;
     RuntimeScope scope(rt);
     Trace trace;
-    rt.machine().setTrace(&trace);
-    rt.machine().setTrace(nullptr);
+    rt.setTrace(&trace);
+    rt.setTrace(nullptr);
     const PoolId pool = rt.createPool("p", 1 << 20);
     const PtrBits p = rt.pmallocBits(pool, 64);
     rt.storeData<std::uint64_t>(rt.resolveForAccess(p, 1), 5);
