@@ -2,8 +2,9 @@
  * @file
  * Benchmark harness: runs the bench sections — the Figure 11 grid,
  * pointer-op microkernels, static analysis, the fault sweep, the txn
- * engines, the execution tiers and the sharded KV store — and writes
- * one machine-readable BENCH_<section>.json per section.
+ * engines, the execution tiers, the sharded KV store, and the rest of
+ * the paper's evaluation (paper, sweep) — and writes one
+ * machine-readable BENCH_<section>.json per section.
  *
  * Every section produces the same cell record ({workload, version,
  * wallMs, error, values}) and one emitter writes every file. Each
@@ -12,18 +13,20 @@
  * are host time. The file header lists the exact keys, so
  * scripts/bench_diff.py gates them bit for bit without knowing any
  * section (wall regression = warning, exact drift = hard error).
+ * `uprstat --paper VIEW` renders the paper's tables and figures from
+ * these files and checks their shape.
  *
- * The fig11, micro and concurrent sections run each cell in a forked
- * child process, not a thread, for determinism: branch-predictor site
- * indices are salted at each pointer-op call site's first execution
- * (detail::nextSiteSalt), so concurrent cells sharing one process
- * would be handed salts in thread-schedule order and "identical" runs
- * would drift by a few cycles. fork() gives every cell the pristine
- * pre-run salt state: each cell's counters equal a standalone run of
- * exactly that cell, under any parallelism, every time. The other
- * sections run serially in-process, in a fixed order. Moving a
- * section from one mode to the other, or reordering its cells,
- * moves counters.
+ * The fig11, micro, concurrent, paper and sweep sections run each
+ * cell in a forked child process, not a thread, for determinism:
+ * branch-predictor site indices are salted at each pointer-op call
+ * site's first execution (detail::nextSiteSalt), so concurrent cells
+ * sharing one process would be handed salts in thread-schedule order
+ * and "identical" runs would drift by a few cycles. fork() gives every
+ * cell the pristine pre-run salt state: each cell's counters equal a
+ * standalone run of exactly that cell, under any parallelism, every
+ * time. The other sections run serially in-process, in a fixed order.
+ * Moving a section from one mode to the other, or reordering its
+ * cells, moves counters.
  *
  * Usage: bench_harness [--quick] [--jobs N] [--out DIR] [--only SECTION]
  *   --quick        scale workloads down 100x (smoke test; implies scale
@@ -39,6 +42,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <chrono>
 #include <climits>
@@ -48,7 +52,9 @@
 #include <iterator>
 #include <map>
 #include <thread>
+#include <tuple>
 
+#include "arch/trace.hh"
 #include "bench_common.hh"
 #include "bench_ir.hh"
 #include "bench_json.hh"
@@ -61,6 +67,8 @@
 #include "faultinject/fault_sweep.hh"
 #include "kvstore/concurrent_kv_store.hh"
 #include "kvstore/kv_store.hh"
+#include "ml/iris.hh"
+#include "ml/knn.hh"
 #include "obs/trace_ring.hh"
 #include "txn_ir_workload.hh"
 
@@ -126,14 +134,22 @@ struct Record
     void exact(const char *key, const HistSummary &h) { add({key, true, true, 0, h}); }
     void timing(const char *key, const HistSummary &h) { add({key, false, true, 0, h}); }
 
+    /** Value @p key, or nullptr if the cell does not report it. */
+    const Value *
+    find(const char *key) const
+    {
+        for (std::size_t i = 0; i < size; ++i)
+            if (!std::strcmp(values[i].key, key))
+                return &values[i];
+        return nullptr;
+    }
+
     /** Counter @p key, or 0 if the cell does not report it. */
     std::uint64_t
     get(const char *key) const
     {
-        for (std::size_t i = 0; i < size; ++i)
-            if (!std::strcmp(values[i].key, key))
-                return values[i].number;
-        return 0;
+        const Value *v = find(key);
+        return v ? v->number : 0;
     }
 
     bool failed() const { return error[0] != '\0'; }
@@ -184,25 +200,25 @@ addStats(Record &r, const RunStats &st)
 }
 
 /**
- * Print OUTPUT MISMATCH for every successful cell in
- * [@p first, @p first + @p n) whose checksum differs from the first
- * successful one. @return true if they all agree.
+ * Print OUTPUT MISMATCH for every successful cell whose @p key differs
+ * from that of the first successful cell of its workload reporting
+ * it. @return true if they all agree.
  */
 bool
-checksumsAgree(const std::vector<Record> &cells, std::size_t first,
-               std::size_t n)
+checksumsAgree(const std::vector<Record> &cells,
+               const char *key = "checksum")
 {
     bool ok = true;
-    const Record *ref = nullptr;
-    for (std::size_t i = first; i < first + n; ++i) {
-        const Record &r = cells[i];
-        if (r.failed())
+    std::map<std::string, const Record *> ref; // workload -> first cell
+    for (const Record &r : cells) {
+        if (r.failed() || r.find(key) == nullptr)
             continue;
-        if (ref == nullptr) {
-            ref = &r;
-        } else if (r.get("checksum") != ref->get("checksum")) {
-            std::fprintf(stderr, "OUTPUT MISMATCH on %s: version %s\n",
-                         r.workload, r.version);
+        const Record *&first = ref[r.workload];
+        if (first == nullptr) {
+            first = &r;
+        } else if (r.get(key) != first->get(key)) {
+            std::fprintf(stderr, "OUTPUT MISMATCH on %s: version %s (%s)\n",
+                         r.workload, r.version, key);
             ok = false;
         }
     }
@@ -448,10 +464,7 @@ fig11Section(std::vector<Record> &cells, const CellRunner &runCells)
         addStats(r, run(kAllWorkloads[i / 4], kAllVersions[i % 4]));
     });
     // Soundness: every version of a workload computed the same value.
-    bool ok = true;
-    for (std::size_t i = 0; i < cells.size(); i += 4)
-        ok = checksumsAgree(cells, i, 4) && ok;
-    return ok;
+    return checksumsAgree(cells);
 }
 
 // ----------------------------------------------------------------------
@@ -674,7 +687,7 @@ staticSection(std::vector<Record> &cells, const CellRunner &runCells)
         r.exact("irInstructions", interp.instructionCount());
         r.exact("irDynamicChecks", interp.dynamicCheckCount());
     });
-    return checksumsAgree(cells, 0, plans.size()) && ok;
+    return checksumsAgree(cells) && ok;
 }
 
 // ----------------------------------------------------------------------
@@ -1280,6 +1293,564 @@ concurrentSection(std::vector<Record> &cells, const CellRunner &runCells)
 }
 
 // ----------------------------------------------------------------------
+// Paper and sweep sections: the rest of the paper's evaluation and our
+// ablations, every number they report an exact value of a cell, which
+// `uprstat --paper` renders and shape-checks (DESIGN.md experiment
+// index). `paper` holds the cheap artifacts, `sweep` the Fig 14 and
+// memory-latency sweeps (57 full KV runs). Both fork like fig11, so
+// each cell's counters are those of a standalone run of that cell.
+// ----------------------------------------------------------------------
+
+/** A cell of a section built from a list: its names and its body. */
+struct CellDef
+{
+    const char *workload;
+    const char *version;
+    std::function<void(Record &)> run;
+};
+
+void
+runDefs(std::vector<Record> &cells, const CellRunner &runCells,
+        const std::vector<CellDef> &defs)
+{
+    for (const CellDef &d : defs)
+        cells.emplace_back(d.workload, d.version);
+    runCells(cells, [&](std::size_t i, Record &r) { defs[i].run(r); });
+}
+
+namespace paperbench
+{
+
+struct Fields4
+{
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    std::uint64_t c = 0;
+    std::uint64_t d = 0;
+};
+
+/**
+ * Fig 12's codelet: repeated accesses through the same persistent
+ * pointer (four stores and four loads per record). Under user
+ * transparency the first ra2va result is reused; Explicit, and HW
+ * with reuse off, translate every access.
+ */
+void
+fig12Codelet(Version version, bool reuse, Record &r)
+{
+    Runtime::Config cfg;
+    cfg.version = version;
+    cfg.hwConversionReuse = reuse;
+    Runtime rt(cfg);
+    RuntimeScope scope(rt);
+    MemEnv env = MemEnv::persistentEnv(rt, rt.createPool("fig12", 64 << 20));
+    const std::uint64_t n = 20'000 / benchScale() + 64;
+    Ptr<Fields4> recs = env.allocArray<Fields4>(n);
+    const Cycles start = rt.machine().now();
+    std::uint64_t sum = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Ptr<Fields4> p = recs + static_cast<std::ptrdiff_t>(i);
+        p.setField(&Fields4::a, i);
+        p.setField(&Fields4::b, i * 2);
+        p.setField(&Fields4::c, i * 3);
+        p.setField(&Fields4::d, i * 5);
+        sum += p.field(&Fields4::a) + p.field(&Fields4::b) +
+               p.field(&Fields4::c) + p.field(&Fields4::d);
+    }
+    r.exact("cycles", rt.machine().now() - start);
+    r.exact("checksum", sum);
+    r.exact("relToAbs", rt.relToAbs());
+    r.exact("polbAccesses", rt.machine().polb().accesses());
+    r.exact("memAccesses", rt.machine().memAccesses());
+}
+
+/**
+ * A Table II row: on-chip bytes, and 45 nm area from a small-SRAM
+ * model calibrated to the paper (CACTI): 40.04 um^2/B through the 512 B
+ * FSM (0.0205 mm^2), 35.68 um^2/B for the 384 B CAM-tagged tables.
+ */
+void
+table2Row(std::uint64_t entryBytes, std::uint64_t entries, Record &r)
+{
+    const std::uint64_t bytes = entryBytes * entries;
+    r.exact("entryBytes", entryBytes);
+    r.exact("entries", entries);
+    r.exact("bytes", bytes);
+    r.exact("areaUm2", bytes * (bytes >= 512 ? 4004 : 3568) / 100);
+}
+
+/** Sec VII-E: KNN on iris, 3 of the 4 matrices persisted. */
+void
+knnCell(Version version, Record &r)
+{
+    Runtime::Config cfg;
+    cfg.version = version;
+    Runtime rt(cfg);
+    RuntimeScope scope(rt);
+    MemEnv penv = MemEnv::persistentEnv(rt, rt.createPool("knn", 256 << 20));
+    MemEnv venv = MemEnv::volatileEnv(rt);
+
+    const IrisDataset ds = IrisDataset::make();
+    Matrix input = ds.toMatrix(venv);
+    const Cycles start = rt.machine().now();
+    const Knn::Result res =
+        Knn::search(input, input, 5, Knn::Placement{venv, penv, penv, penv});
+    r.exact("cycles", rt.machine().now() - start);
+
+    const std::vector<int> pred = Knn::classify(res.neighbors, ds.labels);
+    std::uint64_t correct = 0;
+    for (std::size_t i = 0; i < pred.size(); ++i)
+        correct += pred[i] == ds.labels[i] ? 1 : 0;
+    r.exact("loads", rt.machine().stats().lookup("loads"));
+    r.exact("relToAbs", rt.relToAbs());
+    r.exact("correct", correct);
+}
+
+/** A library (unknown parameters) and the application driving it. */
+const char *const kLibraryStackSource = R"(
+; --- the "legacy library": a stack of nodes {ptr next; i64 v} ---
+func @push(%head: ptr, %node: ptr) {
+entry:
+  %slot = gep %node, 0
+  %old = load.ptr %head
+  storep %old, %slot
+  storep %node, %head
+  ret
+}
+
+func @sum(%head: ptr) -> i64 {
+entry:
+  %zero = const 0
+  %cur0 = load.ptr %head
+  jmp loop
+loop:
+  %cur = phi.ptr [entry, %cur0], [body, %nxt]
+  %acc = phi.i64 [entry, %zero], [body, %accn]
+  %ci = ptrtoint %cur
+  %done = eq %ci, %zero
+  br %done, out, body
+body:
+  %vslot = gep %cur, 8
+  %v = load.i64 %vslot
+  %accn = add %acc, %v
+  %nslot = gep %cur, 0
+  %nxt = load.ptr %nslot
+  jmp loop
+out:
+  ret %acc
+}
+
+; --- the application: persistent head cell and nodes ---
+func @main(%n: i64) -> i64 {
+entry:
+  %zero = const 0
+  %head = pmalloc 8
+  %null = inttoptr %zero
+  storep %null, %head
+  jmp fill
+fill:
+  %i = phi.i64 [entry, %zero], [fbody, %inext]
+  %c = lt %i, %n
+  br %c, fbody, done
+fbody:
+  %node = pmalloc 16
+  %vslot = gep %node, 8
+  %one = const 1
+  %inext = add %i, %one
+  store %inext, %vslot
+  call @push(%head, %node)
+  jmp fill
+done:
+  %total = call @sum(%head)
+  ret %total
+}
+)";
+
+/**
+ * Sec V-B inference ablation: the library workload under SW, its
+ * checks planned without inference, with it in library mode (with
+ * and without block refinement) or over the whole program.
+ */
+void
+inferenceCell(bool inference, bool wholeProgram, bool refine, Record &r)
+{
+    using namespace upr::ir;
+    Module mod = parseModule(kLibraryStackSource);
+    InferenceResult inf;
+    if (inference)
+        inf = inferPointerKinds(mod, !wholeProgram);
+    const CheckPlan plan =
+        insertChecks(mod, inference ? &inf : nullptr, refine);
+
+    Runtime::Config cfg;
+    cfg.version = Version::Sw;
+    Runtime rt(cfg);
+    Interpreter::Config icfg;
+    icfg.pool = rt.createPool("abl", 64 << 20);
+    Interpreter interp(rt, mod, plan, icfg);
+    r.exact("checksum", interp.call("main", {2000}));
+    r.exact("cycles", rt.machine().now());
+    r.exact("irDynamicChecks", interp.dynamicCheckCount());
+    r.exact("staticTotalSites", plan.totalSites);
+    r.exact("staticRemainingSites", plan.remainingSites);
+}
+
+struct Cell
+{
+    std::uint64_t v = 0;
+};
+
+/** The Fig 10 codelet `p != q && p != o`, @p iters times. */
+Cycles
+optCodelet(Runtime &rt, Ptr<Cell> p, Ptr<Cell> q, Ptr<Cell> o,
+           bool valueNumbered, std::uint64_t &sink)
+{
+    const Cycles start = rt.machine().now();
+    sink = 0;
+    for (std::uint64_t i = 0; i < 10'000; ++i) {
+        if (valueNumbered) {
+            // One conversion of p, reused for both comparisons: what
+            // value numbering would emit.
+            const SimAddr pva = rt.resolveForAccess(p.bits(), 1);
+            const SimAddr qva = rt.resolveForAccess(q.bits(), 2);
+            const SimAddr ova = rt.resolveForAccess(o.bits(), 3);
+            sink += (pva != qva && pva != ova) ? 1 : 0;
+        } else {
+            // The sound SW code converts per operation (Fig 10 left).
+            sink += (p != q && p != o) ? 1 : 0;
+        }
+    }
+    return rt.machine().now() - start;
+}
+
+/**
+ * Sec VI / Fig 10 ablation, what value-numbering ra2va would save:
+ * the codelet's sound and value-numbered forms on one SW runtime.
+ */
+void
+optorderCodelet(Record &r)
+{
+    Runtime::Config cfg;
+    cfg.version = Version::Sw;
+    cfg.hwConversionReuse = false;
+    Runtime rt(cfg);
+    RuntimeScope scope(rt);
+    MemEnv env = MemEnv::persistentEnv(rt, rt.createPool("opt", 16 << 20));
+    Ptr<Cell> p = env.alloc<Cell>();
+    Ptr<Cell> q = env.alloc<Cell>();
+    Ptr<Cell> o = env.alloc<Cell>();
+    std::uint64_t sound = 0, vn = 0;
+    r.exact("soundCycles", optCodelet(rt, p, q, o, false, sound));
+    r.exact("vnCycles", optCodelet(rt, p, q, o, true, vn));
+    if (sound != vn)
+        throw std::runtime_error("value-numbered codelet computed a "
+                                 "different result");
+    r.exact("checksum", sound);
+}
+
+/**
+ * ...and what it breaks: the pool detaches between two uses of p.
+ * Sound code faults at the second conversion; value-numbered code
+ * reuses a stale, now unmapped, virtual address.
+ */
+void
+optorderDetach(Record &r)
+{
+    Runtime::Config cfg;
+    cfg.version = Version::Sw;
+    Runtime rt(cfg);
+    RuntimeScope scope(rt);
+    const PoolId pool = rt.createPool("opt", 16 << 20);
+    MemEnv env = MemEnv::persistentEnv(rt, pool);
+    Ptr<Cell> p = env.alloc<Cell>();
+    Ptr<Cell> q = env.alloc<Cell>();
+    const SimAddr stale = rt.resolveForAccess(p.bits(), 1);
+    (void)rt.resolveForAccess(q.bits(), 2);
+    rt.pools().detach(pool);
+
+    bool faulted = false;
+    try {
+        (void)rt.resolveForAccess(p.bits(), 3);
+    } catch (const Fault &f) {
+        faulted = f.kind() == FaultKind::PoolDetached;
+    }
+    const bool unmapped = !rt.space().isMapped(stale, 1);
+    r.exact("faultRaised", faulted);
+    r.exact("staleUnmapped", unmapped);
+    if (!faulted || !unmapped)
+        throw std::runtime_error("soundness verdict: the sound code must "
+                                 "fault and the stale VA be unmapped");
+}
+
+/**
+ * Sec VI ablation: 50-insert batches into a persistent RB tree, with
+ * or without an undo transaction around each batch (a Volatile no-op).
+ */
+void
+txnInserts(Version version, bool txnPerBatch, Record &r)
+{
+    Runtime::Config cfg;
+    cfg.version = version;
+    cfg.seed = 0xAB;
+    Runtime rt(cfg);
+    RuntimeScope scope(rt);
+    const PoolId pool = rt.createPool("txn", 256 << 20);
+    RbTree<std::uint64_t, std::uint64_t> tree(MemEnv::persistentEnv(rt, pool));
+    const bool txn = txnPerBatch && version != Version::Volatile;
+    const std::uint64_t total = 20'000 / benchScale() + 100;
+    const Cycles start = rt.machine().now();
+    for (std::uint64_t base = 0; base < total; base += 50) {
+        if (txn)
+            rt.beginTxn(pool);
+        for (std::uint64_t i = base; i < std::min(base + 50, total); ++i)
+            tree.insert(i * 7, i);
+        if (txn)
+            rt.commitTxn();
+    }
+    r.exact("cycles", rt.machine().now() - start);
+    std::uint64_t sum = 0;
+    tree.forEach([&](std::uint64_t k, std::uint64_t v) {
+        sum = sum * 31 + (k ^ v);
+    });
+    r.exact("checksum", sum);
+}
+
+/**
+ * Bypass ablation's mixed traffic: a persistent RB tree behind an
+ * equally hot volatile cache, so about half the accesses are non-PMO
+ * and can bypass the POLB/VALB probe.
+ */
+void
+bypassMixed(MmuFrontModel front, Record &r)
+{
+    Runtime::Config cfg;
+    cfg.version = Version::Hw;
+    cfg.seed = 0xB0;
+    cfg.machine.mmuFront = front;
+    Runtime rt(cfg);
+    RuntimeScope scope(rt);
+    using Tree = RbTree<std::uint64_t, std::uint64_t>;
+    Tree pers(MemEnv::persistentEnv(rt, rt.createPool("bench", 256 << 20)));
+    Tree cache(MemEnv::volatileEnv(rt));
+    const std::uint64_t n = 10'000 / benchScale() + 100;
+    for (std::uint64_t i = 0; i < n; ++i)
+        pers.insert(i, i * 3);
+
+    rt.machine().resetAllStats();
+    rt.resetCounters();
+    const Cycles start = rt.machine().now();
+    std::uint64_t sum = 0;
+    Rng rng(5);
+    for (std::uint64_t op = 0; op < 4 * n; ++op) {
+        const std::uint64_t k = rng.nextBounded(n);
+        if (auto hit = cache.find(k)) {
+            sum += *hit;
+            continue;
+        }
+        const std::uint64_t v = pers.find(k).value();
+        cache.insert(k, v);
+        sum += v;
+    }
+    r.exact("cycles", rt.machine().now() - start);
+    r.exact("checksum", sum);
+}
+
+/** A cache geometry of the trace-replay sweep, with its value keys. */
+struct Geometry
+{
+    const char *cycles;
+    const char *l1Misses;
+    Bytes l1, l2, l3;
+};
+
+const Geometry kGeometries[] = {
+    {"tiny.cycles", "tiny.l1Misses", 8 << 10, 64 << 10, 512 << 10},
+    {"paper.cycles", "paper.l1Misses", 32 << 10, 256 << 10, 2 << 20},
+    {"big.cycles", "big.l1Misses", 64 << 10, 1 << 20, 8 << 20},
+    {"huge.cycles", "huge.l1Misses", 128 << 10, 4 << 20, 32 << 20},
+};
+
+/**
+ * Cache-geometry sensitivity by trace replay: record the RB KV run
+ * phase once, then re-simulate it under every geometry.
+ */
+void
+sensCache(Version version, Record &r)
+{
+    Trace trace;
+    {
+        Runtime::Config cfg;
+        cfg.version = version;
+        cfg.seed = 0xB0;
+        Runtime rt(cfg);
+        RuntimeScope scope(rt);
+        const YcsbWorkload workload(paperSpec());
+        KvStore<RbTree<std::uint64_t, std::uint64_t>> store(
+            MemEnv::persistentEnv(rt, rt.createPool("bench", 512 << 20)));
+        store.loadPhase(workload);
+        rt.setTrace(&trace);
+        store.runPhase(workload);
+        rt.setTrace(nullptr);
+    }
+    r.exact("traceEvents", trace.size());
+    for (const Geometry &g : kGeometries) {
+        MachineParams p;
+        p.l1Size = g.l1;
+        p.l2Size = g.l2;
+        p.l3Size = g.l3;
+        const ReplayResult res = replayTrace(trace, p);
+        if (&g == kGeometries)
+            r.exact("memAccesses", res.memAccesses);
+        r.exact(g.cycles, res.cycles);
+        r.exact(g.l1Misses, res.l1Misses);
+    }
+}
+
+} // namespace paperbench
+
+bool
+paperSection(std::vector<Record> &cells, const CellRunner &runCells)
+{
+    using namespace paperbench;
+    using K = std::uint64_t;
+    std::vector<CellDef> d;
+    const Version kFig12[] = {Version::Volatile, Version::Hw,
+                              Version::Explicit};
+    for (Version v : kFig12)
+        d.push_back({"fig12", versionName(v),
+                     [v](Record &r) { fig12Codelet(v, true, r); }});
+    d.push_back({"fig12", "HW-noreuse", [](Record &r) {
+                     fig12Codelet(Version::Hw, false, r);
+                 }});
+
+    // Table II: FSM entry (Fig 6) = Rd VA + Rs RA placeholders, 16 B;
+    // POLB and VALB entries pack a base, size and pool ID in 12 B.
+    const MachineParams mp;
+    const std::tuple<const char *, std::uint64_t, std::uint64_t> kStorage[] =
+        {{"FSM", 16, mp.storePFsmEntries},
+         {"POLB", 12, mp.polbEntries},
+         {"VALB", 12, mp.valbEntries}};
+    for (const auto &[name, entryBytes, entries] : kStorage)
+        d.push_back({"table2", name, [=](Record &r) {
+                         table2Row(entryBytes, entries, r);
+                     }});
+
+    // Table III node sizes; the LL harness stores a 16-byte value.
+    const std::pair<const char *, std::uint64_t> kNodes[] = {
+        {"LL", sizeof(LinkedList<std::array<K, 2>>::Node)},
+        {"Hash", sizeof(HashMap<K, K>::Node)},
+        {"RB", sizeof(RbTree<K, K>::Node)},
+        {"Splay", sizeof(SplayTree<K, K>::Node)},
+        {"AVL", sizeof(AvlTree<K, K>::Node)},
+        {"SG", sizeof(ScapegoatTree<K, K>::Node)}};
+    for (const auto &[name, bytes] : kNodes)
+        d.push_back({"table3", name,
+                     [b = bytes](Record &r) { r.exact("nodeBytes", b); }});
+
+    for (Version v : kAllVersions)
+        d.push_back({"knn", versionName(v),
+                     [v](Record &r) { knnCell(v, r); }});
+
+    const std::tuple<const char *, bool, bool, bool> kPlans[] = {
+        {"none", false, false, false},
+        {"library", true, false, false},
+        {"refined", true, false, true},
+        {"whole", true, true, false}};
+    for (const auto &[name, inference, whole, refine] : kPlans)
+        d.push_back({"inference", name, [=](Record &r) {
+                         inferenceCell(inference, whole, refine, r);
+                     }});
+
+    d.push_back({"optorder", "codelet", optorderCodelet});
+    d.push_back({"optorder", "detach", optorderDetach});
+
+    const std::pair<Version, const char *> kTxn[] = {
+        {Version::Volatile, "Volatile-txn"},
+        {Version::Hw, "HW-txn"},
+        {Version::Sw, "SW-txn"},
+        {Version::Explicit, "Explicit-txn"}};
+    for (const auto &[v, txnName] : kTxn) {
+        d.push_back({"txn", versionName(v),
+                     [v = v](Record &r) { txnInserts(v, false, r); }});
+        d.push_back({"txn", txnName,
+                     [v = v](Record &r) { txnInserts(v, true, r); }});
+    }
+
+    const std::pair<MmuFrontModel, const char *> kFronts[] = {
+        {MmuFrontModel::None, "none"},
+        {MmuFrontModel::Always, "always"},
+        {MmuFrontModel::Predicted, "predicted"}};
+    for (const auto &[w, row] : {std::pair{Workload::LL, "bypass-LL"},
+                                 std::pair{Workload::RB, "bypass-RB"}}) {
+        for (const auto &[front, name] : kFronts) {
+            MachineParams p;
+            p.mmuFront = front;
+            d.push_back({row, name, [w = w, p](Record &r) {
+                             addStats(r, run(w, Version::Hw, p));
+                         }});
+        }
+    }
+    for (const auto &[front, name] : kFronts)
+        d.push_back({"bypass-mixed", name,
+                     [f = front](Record &r) { bypassMixed(f, r); }});
+
+    for (Version v : {Version::Volatile, Version::Hw})
+        d.push_back({"sens_cache", versionName(v),
+                     [v](Record &r) { sensCache(v, r); }});
+
+    runDefs(cells, runCells, d);
+    // Every variant of an artifact computed the same output.
+    return checksumsAgree(cells) && checksumsAgree(cells, "correct");
+}
+
+bool
+sweepSection(std::vector<Record> &cells, const CellRunner &runCells)
+{
+    std::vector<CellDef> d;
+    const auto add = [&d](Workload w, Version v, const char *name,
+                          const MachineParams &p) {
+        d.push_back({workloadName(w), name,
+                     [=](Record &r) { addStats(r, run(w, v, p)); }});
+    };
+    // Fig 14: HW under VALB/VAW latency, against Explicit.
+    const std::pair<const char *, Cycles> kValb[] = {
+        {"HW-valb1", 1},   {"HW-valb5", 5},   {"HW-valb10", 10},
+        {"HW-valb20", 20}, {"HW-valb30", 30}, {"HW-valb50", 50}};
+    for (Workload w : kAllWorkloads) {
+        add(w, Version::Explicit, "Explicit", {});
+        for (const auto &[name, lat] : kValb) {
+            MachineParams p;
+            p.valbHitLatency = lat;
+            p.vawLatency = lat;
+            add(w, Version::Hw, name, p);
+        }
+    }
+    // Memory sensitivity: NVM latency on RB against Volatile, and
+    // POLB latency (on the load critical path, unlike the VALB).
+    add(Workload::RB, Version::Volatile, "Volatile", {});
+    const std::pair<const char *, Cycles> kNvm[] = {
+        {"HW-nvm120", 120}, {"HW-nvm240", 240},
+        {"HW-nvm480", 480}, {"HW-nvm960", 960}};
+    for (const auto &[name, lat] : kNvm) {
+        MachineParams p;
+        p.nvmLatency = lat;
+        add(Workload::RB, Version::Hw, name, p);
+    }
+    const std::pair<const char *, Cycles> kPolb[] = {
+        {"HW-polb1", 1}, {"HW-polb2", 2}, {"HW-polb4", 4},
+        {"HW-polb8", 8}, {"HW-polb16", 16}};
+    for (Workload w : {Workload::RB, Workload::Splay}) {
+        for (const auto &[name, lat] : kPolb) {
+            MachineParams p;
+            p.polbHitLatency = lat;
+            add(w, Version::Hw, name, p);
+        }
+    }
+    runDefs(cells, runCells, d);
+    return checksumsAgree(cells);
+}
+
+// ----------------------------------------------------------------------
 // Section table and main
 // ----------------------------------------------------------------------
 
@@ -1305,6 +1876,8 @@ const Section kSections[] = {
     {"txn", false, false, txnSection},
     {"exec", false, false, execSection},
     {"concurrent", false, true, concurrentSection},
+    {"paper", false, true, paperSection},
+    {"sweep", false, true, sweepSection},
 };
 
 /** Run @p s, check it, write its file. @return false on any failure. */

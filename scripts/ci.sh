@@ -15,7 +15,9 @@
 #      is excluded there — it has no cross-thread races to find and
 #      TSan multiplies its wall time);
 #   3. clang-tidy over the compiler subsystem, if available;
-#   4. every bench section's exact counters vs its BENCH_*.json golden;
+#   4. every bench section's exact counters vs its BENCH_*.json golden,
+#      and every `uprstat --paper` view's shape claims over the fresh
+#      fig11, paper and sweep files;
 #   4p. the repository benchmark's oracles: one short run of every
 #      perfbench workload (table replays, crash-image recovery, exact
 #      counter repeats), failing on any non-zero exit;
@@ -75,16 +77,23 @@ echo "persistency: $(ls tests/ir_corpus/*.ir | wc -l) fixtures," \
 # stray UPR_BENCH_SCALE is dropped): fault-sweep tallies, txn-engine
 # fence accounting, execution-tier invariance and speedup, the
 # concurrent KV store's schedule independence, static-analysis
-# counts, and the fig11 grid + micro-op counters (the host-side
-# lookup structures every simulated access probes must not move one
-# modeled cycle). Wall time is not gated.
+# counts, the fig11 grid + micro-op counters (the host-side lookup
+# structures every simulated access probes must not move one modeled
+# cycle), and the rest of the paper's evaluation (paper, sweep), whose
+# views must still show the shapes EXPERIMENTS.md states. Wall time is
+# not gated.
 echo "==> tier 4: every bench section vs its golden"
 BENCH_OUT=$(mktemp -d)
-for s in fault txn exec concurrent static fig11 micro; do
+for s in fault txn exec concurrent static fig11 micro paper sweep; do
     env -u UPR_BENCH_SCALE build/bench/bench_harness --only "$s" \
         --jobs "$JOBS" --out "$BENCH_OUT" > /dev/null
     python3 scripts/bench_diff.py --wall-threshold 100000 \
         "BENCH_$s.json" "$BENCH_OUT/BENCH_$s.json"
+    case $s in
+      fig11|paper|sweep)
+        scripts/paper_views.sh build/tools/uprstat "$BENCH_OUT/BENCH_$s.json"
+        ;;
+    esac
 done
 rm -rf "$BENCH_OUT"
 

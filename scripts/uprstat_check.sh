@@ -3,21 +3,24 @@
 # printing of both accepted document shapes, diff semantics
 # (identical -> exit 0, any changed entry -> exit 1 and a delta row),
 # and the --paper views: the Table V and Fig 15 numbers match the fig11
-# golden's counters; a document that is not a complete fig11 grid, a
-# failed cell or a zero denominator exits 2.
+# golden's counters; every view exits 0 on its committed golden and 1
+# on a copy doctored to break one of its shape claims; a document
+# without the cells a view reads, a failed cell, a zero denominator or
+# an unknown view exits 2.
 #
 #   uprstat_check.sh <path-to-uprstat> <path-to-bench_harness> \
-#                    <path-to-BENCH_fig11.json>
+#                    <dir holding BENCH_{fig11,paper,sweep}.json>
 set -u
 
 if [ $# -ne 3 ]; then
-    echo "usage: $0 <uprstat> <bench_harness> <BENCH_fig11.json>" >&2
+    echo "usage: $0 <uprstat> <bench_harness> <golden dir>" >&2
     exit 2
 fi
 
 UPRSTAT=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 HARNESS=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
-GOLDEN=$(cd "$(dirname "$3")" && pwd)/$(basename "$3")
+GOLDENS=$(cd "$3" && pwd)
+GOLDEN=$GOLDENS/BENCH_fig11.json
 WORK=$(mktemp -d) || exit 2
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK" || exit 2
@@ -134,13 +137,84 @@ if list(sw) != rows or list(f15) != rows + ["mean"]:
 sys.exit(0 if ok else 1)
 EOF
 
+# --paper shape claims: each view exits 0 on its golden, and 1 once one
+# of its claims is broken.
+python3 - "$UPRSTAT" "$GOLDENS" <<'EOF' || fail=1
+import json, subprocess, sys
+uprstat, goldens = sys.argv[1:]
+
+def bump(c, w, v, key, to):
+    """Cell (w, v)'s `key` ("group.name" if nested) := to(its value)."""
+    *groups, leaf = key.split(".")
+    cell = c[(w, v)]
+    for g in groups:
+        cell = cell[g]
+    cell[leaf] = int(to(cell[leaf]))
+
+def get(c, w, v, key):
+    return c[(w, v)][key]
+
+# view -> (section, edit breaking one of its claims)
+cases = {
+    "fig11": ("fig11", lambda c: bump(c, "RB", "HW", "cycles",
+              lambda x: get(c, "RB", "Explicit", "cycles") + 1)),
+    "fig13": ("fig11", lambda c: bump(c, "Hash", "HW", "branchMisses",
+              lambda x: x * 1.02)),
+    "fig15": ("fig11", lambda c: bump(c, "RB", "HW", "valbAccesses",
+              lambda x: get(c, "RB", "HW", "storePs") + 1)),
+    "table5": ("fig11", lambda c: bump(c, "LL", "SW", "absToRel",
+               lambda x: 1)),
+    "fig12": ("paper", lambda c: bump(c, "fig12", "HW-noreuse",
+              "relToAbs", lambda x: x + 1)),
+    "table2": ("paper", lambda c: bump(c, "table2", "FSM", "bytes",
+               lambda x: x + 16)),
+    "table3": ("paper", lambda c: bump(c, "table3", "LL", "nodeBytes",
+               lambda x: 40)),
+    "knn": ("paper", lambda c: bump(c, "knn", "HW", "correct",
+            lambda x: x - 1)),
+    "inference": ("paper", lambda c: bump(
+        c, "inference", "refined", "staticRemainingSites",
+        lambda x: get(c, "inference", "library", "staticRemainingSites"))),
+    "optorder": ("paper", lambda c: bump(c, "optorder", "detach",
+                 "faultRaised", lambda x: 0)),
+    "txn": ("paper", lambda c: bump(c, "txn", "Volatile-txn", "cycles",
+            lambda x: x + 1)),
+    "bypass": ("paper", lambda c: bump(
+        c, "bypass-mixed", "predicted", "cycles",
+        lambda x: get(c, "bypass-mixed", "always", "cycles"))),
+    "sens_cache": ("paper", lambda c: bump(c, "sens_cache", "HW",
+                   "tiny.cycles", lambda x: x * 1.2)),
+    "fig14": ("sweep", lambda c: bump(
+        c, "Splay", "HW-valb50", "cycles",
+        lambda x: get(c, "Splay", "HW-valb1", "cycles") * 1.13)),
+    "sens_memory": ("sweep", lambda c: bump(
+        c, "RB", "HW-polb8", "cycles",
+        lambda x: get(c, "RB", "HW-polb4", "cycles"))),
+}
+ok = True
+for view, (section, edit) in cases.items():
+    golden = f"{goldens}/BENCH_{section}.json"
+    d = json.load(open(golden))
+    edit({(c["workload"], c["version"]): c for c in d["cells"]})
+    json.dump(d, open(f"doctored-{view}.json", "w"))
+    for path, want in ((golden, 0), (f"doctored-{view}.json", 1)):
+        got = subprocess.run([uprstat, "--paper", view, path],
+                             capture_output=True).returncode
+        if got != want:
+            print(f"FAIL: uprstat --paper {view} {path} exited {got}, "
+                  f"expected {want}", file=sys.stderr)
+            ok = False
+sys.exit(0 if ok else 1)
+EOF
+
 # --paper refuses what it cannot render faithfully.
 python3 - "$GOLDEN" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
 def save(name, cells):
     json.dump(dict(d, cells=cells), open(name, "w"))
-save("missing.json", d["cells"][1:])
+# Table V reads the SW cells; drop LL's.
+save("missing.json", d["cells"][:1] + d["cells"][2:])
 cells = [dict(c) for c in d["cells"]]
 cells[2] = {"workload": cells[2]["workload"],
             "version": cells[2]["version"], "wallMs": 1.0,
@@ -152,7 +226,7 @@ save("zero.json", cells)
 EOF
 for case in "fig11 BENCH_micro.json" "fig11 snap.json" \
             "table5 missing.json" "fig15 failed.json" "fig11 zero.json" \
-            "fig12 $GOLDEN"; do
+            "fig12 $GOLDEN" "nosuchview $GOLDEN"; do
     # shellcheck disable=SC2086
     "$UPRSTAT" --paper $case > /dev/null 2>&1
     got=$?

@@ -23,8 +23,8 @@
  * (tested). Only the POLB/VALB lookup latencies are fixed Ticks: the
  * frontend probes those structures itself, because a lookup returns
  * an address and may fault, so sweeps over them still need a live
- * run (bench_sens_memory does that). A trace lives in memory only;
- * there is no file format.
+ * run (bench_harness's sweep section does that). A trace lives in
+ * memory only; there is no file format.
  *
  * In the ring, a record of a carrier kind (MemAccess, PtrLoad,
  * Branch) may also hold a tick the model charges just before the

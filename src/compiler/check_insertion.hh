@@ -141,7 +141,7 @@ std::string printAnnotated(const ir::Module &mod, const CheckPlan &plan);
  * Compute the plan.
  * @param inference result of inferPointerKinds (pass nullptr to plan
  *        as if inference were disabled: every site dynamic — the
- *        bench_ablation_inference baseline)
+ *        inference ablation's baseline, bench_harness --only paper)
  * @param flow_refine enable block-local refinement: the second and
  *        later check sites of one value within a basic block reuse
  *        the first check's outcome (tail-duplication model) and pay

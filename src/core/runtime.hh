@@ -146,8 +146,9 @@ class Runtime
         bool strictStoreP = false;
         /**
          * Model register reuse of conversion results in HW mode
-         * (paper Fig 12). Disabling this is the bench_fig12 ablation:
-         * HW degenerates to Explicit-like per-access translation.
+         * (paper Fig 12). Disabling this is the Fig 12 ablation
+         * (bench_harness --only paper, `uprstat --paper fig12`): HW
+         * degenerates to Explicit-like per-access translation.
          */
         bool hwConversionReuse = true;
 

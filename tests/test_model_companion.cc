@@ -22,6 +22,7 @@
 #include "compiler/demo_programs.hh"
 #include "compiler/interpreter.hh"
 #include "containers/rb_tree.hh"
+#include "containers/splay_tree.hh"
 #include "core/sharded_runtime.hh"
 
 using namespace upr;
@@ -263,6 +264,30 @@ TEST(ModelCompanion, StrictStorePFaultMidAssignmentMatchesInline)
             EXPECT_EQ(rt.ptrAssignHistogram().count(), 48000u);
         });
     }
+}
+
+TEST(ModelCompanion, SplayHwSlowValbMatchesInline)
+{
+    // Fig 14's 50-cycle VALB/VAW point on Splay: splaying rewrites
+    // pointers on every lookup, so pointer loads wait on in-flight
+    // storePs, and a tick carried into such a load must be charged
+    // before its wait.
+    Runtime::Config cfg;
+    cfg.version = Version::Hw;
+    cfg.machine.valbHitLatency = 50;
+    cfg.machine.vawLatency = 50;
+    cfg.seed = 16;
+    expectCompanionMatchesInline(cfg, [](Runtime &rt) {
+        const PoolId pool = rt.createPool("s", 8 << 20);
+        SplayTree<std::uint64_t, std::uint64_t> tree(
+            MemEnv::persistentEnv(rt, pool));
+        for (std::uint64_t i = 0; i < 1500; ++i)
+            tree.insert(i * 7919 % 6000, i);
+        std::uint64_t sum = 0;
+        for (std::uint64_t i = 0; i < 1500; ++i)
+            sum += tree.find(i * 3 % 6000).value_or(0);
+        EXPECT_GT(sum, 0u);
+    });
 }
 
 TEST(ModelCompanion, ExplicitMatchesInline)
